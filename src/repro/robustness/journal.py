@@ -1,4 +1,4 @@
-"""Crash-safe campaign journal: durable JSONL, atomic flushes, resume.
+"""Crash-safe campaign journal: append-only durable JSONL, resume.
 
 Every scenario outcome a campaign produces is appended to a journal so
 that a crash — of the driver, the machine, or a ``kill -9`` mid-sweep —
@@ -10,14 +10,22 @@ so replayed and resumed results are identical).
 Durability model
 ----------------
 The journal is a JSONL file: one header line identifying the format,
-then one entry per completed scenario.  A flush never mutates the live
-file in place — the full contents are written to a sibling temp file
-and atomically renamed over the journal (``os.replace``), so readers
-never observe a torn write.  Flushes happen on every record; an
-``fsync`` (of both the file and its directory) happens every
+then one entry per completed scenario.  Creating the file (or replacing
+a stale one) is atomic and durable: the header, with any entries
+recorded so far, goes to a sibling temp file that is fsynced and
+renamed over the journal (``os.replace``), then the directory is
+fsynced.  After that the file only grows: each record appends its one
+canonical line with a single ``O_APPEND`` write, so a record costs the
+same however long the campaign has run.  An ``fsync`` happens every
 ``checkpoint_every`` records, bounding the window a power loss can
-erase.  The loader additionally tolerates a truncated or corrupt
-trailing line, recovering every complete entry before it.
+erase.
+
+A crash mid-append can leave a torn, newline-less fragment at the end.
+The loader stops at the first torn or corrupt line and keeps every
+complete entry before it; the first flush after
+:meth:`~CampaignJournal.load` truncates the file back to the end of
+that last complete entry before appending, so the fragment never fuses
+with the next line.
 
 Identity
 --------
@@ -33,7 +41,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import JournalError
 from repro.observability import instrument as obs
@@ -61,8 +69,41 @@ def _fsync_directory(path: str) -> None:
         os.close(fd)
 
 
+def append_durably(path: str, data: bytes, fsync: bool = True) -> None:
+    """Append ``data`` to ``path`` (created if missing), then fsync.
+
+    ``O_APPEND`` and one ``os.write`` of the whole payload mean a crash
+    can tear only the end of this payload, never earlier bytes; readers
+    skip such a torn tail and :func:`truncate_durably` cuts it off
+    before the next append.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    try:
+        view = memoryview(data)
+        while view:  # one write unless the kernel accepts a short one
+            view = view[os.write(fd, view):]
+        if fsync:
+            os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def truncate_durably(path: str, length: int) -> None:
+    """Cut ``path`` back to its first ``length`` bytes and fsync."""
+    fd = os.open(path, os.O_WRONLY)
+    try:
+        os.ftruncate(fd, length)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _line(record: Dict[str, Any]) -> bytes:
+    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+
+
 class CampaignJournal:
-    """Append-only record of scenario outcomes with atomic persistence.
+    """Append-only record of scenario outcomes, durable and resumable.
 
     Examples:
         >>> import tempfile, os
@@ -82,33 +123,50 @@ class CampaignJournal:
         self.checkpoint_every = checkpoint_every
         self.entries: List[Dict[str, Any]] = []
         self._records_since_checkpoint = 0
+        # How many of ``entries`` are on disk; ``None`` until this
+        # journal has created its file (replacing any stale one).
+        self._persisted: Optional[int] = None
+        # Set by ``load`` when bytes past the last complete entry (a
+        # torn append) must be cut off before the next append.
+        self._truncate_to: Optional[int] = None
 
     # -- persistence ---------------------------------------------------
 
-    def _lines(self) -> Iterable[str]:
+    def _create(self) -> None:
         header = {"format": JOURNAL_FORMAT, "version": JOURNAL_VERSION}
-        yield json.dumps(header, sort_keys=True)
-        for entry in self.entries:
-            yield json.dumps(entry, sort_keys=True)
+        tmp_path = self.path + ".tmp"
+        with open(tmp_path, "wb") as handle:
+            handle.write(
+                b"".join(_line(r) for r in [header, *self.entries])
+            )
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, self.path)
+        _fsync_directory(self.path)
 
     def flush(self, fsync: bool = False) -> None:
-        """Write the full journal to a temp file and atomically rename.
+        """Persist every recorded entry not yet on disk.
 
-        The live journal file therefore always holds a complete,
-        well-formed prefix of the campaign — a crash between flushes
-        loses only unflushed entries, never corrupts flushed ones.
+        The first flush of a new journal creates the file atomically
+        and durably (temp file, fsync, rename, directory fsync).  Later
+        flushes append the pending lines with one write, first cutting
+        off a torn tail left by a crash, and fsync when ``fsync`` is
+        set.  Flushed entries are never rewritten, so a crash loses
+        only unflushed entries and never corrupts flushed ones.
         """
         started = time.perf_counter() if obs.is_enabled() else 0.0
-        tmp_path = self.path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            for line in self._lines():
-                handle.write(line + "\n")
-            handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
-        os.replace(tmp_path, self.path)
-        if fsync:
-            _fsync_directory(self.path)
+        if self._persisted is None:
+            self._create()
+        else:
+            if self._truncate_to is not None:
+                truncate_durably(self.path, self._truncate_to)
+                self._truncate_to = None
+            append_durably(
+                self.path,
+                b"".join(_line(e) for e in self.entries[self._persisted:]),
+                fsync=fsync,
+            )
+        self._persisted = len(self.entries)
         if obs.is_enabled():
             obs.count("journal_flushes_total", fsync=fsync)
             obs.observe(
@@ -118,10 +176,10 @@ class CampaignJournal:
     def record(self, index: int, result: ScenarioResult) -> None:
         """Append one outcome and persist it.
 
-        Every record triggers an atomic flush; every
-        ``checkpoint_every``-th record additionally fsyncs the file and
-        its directory, so at most ``checkpoint_every - 1`` outcomes sit
-        in the OS page cache at any moment.
+        Every record appends its line to the file right away; every
+        ``checkpoint_every``-th record also fsyncs it, so at most
+        ``checkpoint_every - 1`` outcomes sit in the OS page cache at
+        any moment.
         """
         self.entries.append(
             {
@@ -142,19 +200,24 @@ class CampaignJournal:
     def load(cls, path: str, checkpoint_every: int = 1) -> "CampaignJournal":
         """Read a journal back, recovering past a torn trailing line.
 
+        Only newline-terminated lines count: the journal stops at the
+        first torn or corrupt line, and the next flush truncates the
+        file to the end of the last entry kept.
+
         Raises :class:`~repro.errors.JournalError` if the file is
         missing or its header names a format we do not understand.
         """
         if not os.path.exists(path):
             raise JournalError(f"no journal at {path!r}")
         journal = cls(path, checkpoint_every=checkpoint_every)
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        if not lines:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        if not data:
             raise JournalError(f"journal {path!r} is empty")
+        end = data.find(b"\n") + 1
         try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
+            header = json.loads(data[: end or len(data)])
+        except ValueError:
             raise JournalError(f"journal {path!r} has a corrupt header") from None
         if (
             not isinstance(header, dict)
@@ -166,16 +229,25 @@ class CampaignJournal:
                 f"journal {path!r} has version {header.get('version')!r}; "
                 f"this library reads version {JOURNAL_VERSION}"
             )
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
+        if not end:
+            return journal  # header without its newline: recreate it
+        while True:
+            newline = data.find(b"\n", end)
+            if newline < 0:
                 break  # torn final write — everything before it is good
-            if not isinstance(entry, dict) or "result" not in entry:
-                break
-            journal.entries.append(entry)
+            line = data[end:newline]
+            if line.strip():
+                try:
+                    entry = json.loads(line)
+                except ValueError:
+                    break
+                if not isinstance(entry, dict) or "result" not in entry:
+                    break
+                journal.entries.append(entry)
+            end = newline + 1
+        journal._persisted = len(journal.entries)
+        if end != len(data):
+            journal._truncate_to = end
         return journal
 
     def results(self) -> List[ScenarioResult]:

@@ -9,11 +9,11 @@ the service state directory:
 ``jobs.jsonl``
     The append-only manifest: one line per accepted submission.
     Restart replays it to rebuild the registry; a torn trailing line
-    (SIGKILL mid-append) is tolerated and skipped.
+    (SIGKILL mid-append) is skipped and truncated away.
 ``job-<id>.journal.jsonl``
     The job's campaign journal (the existing crash-safe
     :class:`~repro.robustness.journal.CampaignJournal`): every
-    completed scenario, atomically flushed.
+    completed scenario, appended and fsynced.
 ``job-<id>.report.json``
     The final report envelope, written atomically (temp + rename) when
     the job reaches a terminal state.  Its existence *is* the terminal
@@ -37,6 +37,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import InvalidParameterError
 from repro.robustness.campaign import CampaignReport
+from repro.robustness.journal import append_durably, truncate_durably
 from repro.service.protocol import (
     JOB_STATES,
     TERMINAL_STATES,
@@ -213,19 +214,7 @@ class JobRegistry:
                 },
                 sort_keys=True,
             )
-            # One os.write of the whole line keeps a torn append (the
-            # only non-atomic write in the state dir) vanishingly rare;
-            # the loader skips a torn tail either way.
-            fd = os.open(
-                self.manifest_path,
-                os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                0o644,
-            )
-            try:
-                os.write(fd, (line + "\n").encode("utf-8"))
-                os.fsync(fd)
-            finally:
-                os.close(fd)
+            append_durably(self.manifest_path, (line + "\n").encode("utf-8"))
             self._jobs[job_id] = job
             self._order.append(job_id)
             return job
@@ -304,13 +293,18 @@ class JobRegistry:
         Manifested jobs whose report file exists are terminal — their
         state is restored from the envelope.  Everything else (queued
         or killed mid-run) is rebuilt as ``queued`` for the workers to
-        resume from its journal.  Unparsable manifest lines (a torn
-        SIGKILL tail) are skipped.
+        resume from its journal.  Unparsable manifest lines are
+        skipped, and a torn tail (SIGKILL mid-append) is truncated away
+        so the next :meth:`create` starts on a fresh line.
         """
         if not os.path.exists(self.manifest_path):
             return []
-        with open(self.manifest_path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        with open(self.manifest_path, "rb") as handle:
+            data = handle.read()
+        complete = data.rfind(b"\n") + 1
+        if complete != len(data):
+            truncate_durably(self.manifest_path, complete)
+        lines = data[:complete].decode("utf-8", "replace").splitlines()
         pending: List[Job] = []
         with self._lock:
             for line in lines:

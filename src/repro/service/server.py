@@ -751,6 +751,9 @@ class _Handler(BaseHTTPRequestHandler):
     #: Injected by :meth:`LineSearchService.start` via a subclass.
     service: LineSearchService
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as separate sends; with Nagle on, the
+    # body waits for a keep-alive client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Tests for the resilient executor: retries, watchdog, crashes, resume."""
 
+import json
 import os
 import signal
 import subprocess
@@ -14,6 +15,7 @@ from repro.robots import Fleet
 from repro.robots.faults import AdversarialFaults
 from repro.robustness import (
     CampaignExecutor,
+    CampaignJournal,
     RetryPolicy,
     Scenario,
     ScenarioSpec,
@@ -273,6 +275,33 @@ class TestJournalResume:
         from repro.robustness import CampaignJournal
 
         assert len(CampaignJournal.load(journal).entries) == 1
+
+    def test_resume_after_torn_tail_matches_uninterrupted(self, tmp_path):
+        journal = str(tmp_path / "journal.jsonl")
+
+        def grid():
+            return chaos_scenarios(
+                [(3, 1), (4, 2)], [1.0, -2.0, 3.5], ["none", "random"],
+                seed=29,
+            )
+
+        uninterrupted = CampaignExecutor(jobs=1).execute(grid())
+        CampaignExecutor(journal_path=journal).execute(grid())
+        # a crash mid-append: the last line is cut in half
+        with open(journal, "rb") as handle:
+            data = handle.read()
+        start = data.rstrip(b"\n").rfind(b"\n") + 1
+        with open(journal, "wb") as handle:
+            handle.write(data[: start + (len(data) - start) // 2])
+
+        resumed = CampaignExecutor(journal_path=journal, resume=True).execute(
+            grid()
+        )
+        assert resumed.to_json() == uninterrupted.to_json()
+        assert len(CampaignJournal.load(journal).entries) == len(grid())
+        with open(journal, "rb") as handle:
+            for line in handle.read().splitlines():
+                json.loads(line)  # no torn or fused line remains
 
 
 DRIVER_SCRIPT = textwrap.dedent(

@@ -143,6 +143,104 @@ class TestJournalPersistence:
             CampaignJournal(str(tmp_path / "j.jsonl"), checkpoint_every=0)
 
 
+def _tear_last_line(path):
+    """Chop the journal's last line in half, as a crash mid-append would."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    start = data.rstrip(b"\n").rfind(b"\n") + 1
+    with open(path, "wb") as handle:
+        handle.write(data[: start + (len(data) - start) // 2])
+    return start
+
+
+class TestAppendOnly:
+    def test_format_unchanged_and_no_rewrites(self, tmp_path, monkeypatch):
+        replaced = []
+        real_replace = os.replace
+
+        def counting_replace(src, dst):
+            replaced.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        path = str(tmp_path / "journal.jsonl")
+        journal = CampaignJournal(path)
+        results = [make_result(i, ok=i % 7 != 0) for i in range(500)]
+        for index, result in enumerate(results):
+            journal.record(index, result)
+
+        expected = json.dumps(
+            {"format": "linesearch-campaign-journal", "version": 1},
+            sort_keys=True,
+        ) + "\n"
+        for index, result in enumerate(results):
+            entry = {
+                "key": scenario_key(result.spec),
+                "index": index,
+                "result": result.to_dict(),
+            }
+            expected += json.dumps(entry, sort_keys=True) + "\n"
+        with open(path, "rb") as handle:
+            assert handle.read() == expected.encode("utf-8")
+        assert len(replaced) <= 1  # creation only
+        assert os.listdir(tmp_path) == ["journal.jsonl"]
+        assert CampaignJournal.load(path).results() == results
+
+    def test_resume_truncates_torn_tail_before_appending(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        journal = CampaignJournal(path)
+        for i in range(3):
+            journal.record(i, make_result(i))
+        intact = _tear_last_line(path)
+
+        resumed = CampaignJournal.load(path)
+        assert resumed.results() == [make_result(0), make_result(1)]
+        resumed.record(2, make_result(2))
+        resumed.record(3, make_result(3))
+
+        with open(path, "rb") as handle:
+            data = handle.read()
+        assert len(data) > intact
+        for line in data.splitlines():
+            json.loads(line)  # no fused, corrupt line
+        assert CampaignJournal.load(path).results() == [
+            make_result(i) for i in range(4)
+        ]
+
+    def test_unterminated_last_line_counts_as_torn(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        journal = CampaignJournal(path)
+        journal.record(0, make_result(0))
+        journal.record(1, make_result(1))
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(data[:-1])  # every byte but the final newline
+
+        resumed = CampaignJournal.load(path)
+        assert resumed.results() == [make_result(0)]
+        resumed.record(1, make_result(1))
+        with open(path, "rb") as handle:
+            assert handle.read() == data
+
+    @pytest.mark.parametrize("every, fsyncs", [(1, 8), (4, 2)])
+    def test_fsync_every_checkpoint(
+        self, tmp_path, monkeypatch, every, fsyncs
+    ):
+        path = str(tmp_path / "journal.jsonl")
+        journal = CampaignJournal(path, checkpoint_every=every)
+        journal.flush(fsync=True)
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))
+        )
+        for i in range(8):
+            journal.record(i, make_result(i))
+        assert len(synced) == fsyncs
+        assert len(CampaignJournal.load(path).entries) == 8
+
+
 class TestJournalMatching:
     def test_match_pairs_results_with_scenarios(self, tmp_path):
         scenarios = [

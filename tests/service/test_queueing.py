@@ -141,6 +141,21 @@ class TestJobRegistry:
         recovered = fresh.recover()
         assert [j.id for j in recovered] == [job.id]
 
+    def test_torn_manifest_tail_does_not_swallow_next_job(self, tmp_path):
+        registry = JobRegistry(str(tmp_path))
+        job = registry.create(_submission())
+        with open(registry.manifest_path, "a", encoding="utf-8") as handle:
+            handle.write('{"event": "submit", "id": "job-0000')  # torn
+
+        restarted = JobRegistry(str(tmp_path))
+        restarted.recover()
+        after = restarted.create(_submission())
+
+        fresh = JobRegistry(str(tmp_path))
+        assert [j.id for j in fresh.recover()] == [job.id, after.id]
+        lines = (tmp_path / "jobs.jsonl").read_text().splitlines()
+        assert [json.loads(line)["id"] for line in lines] == [job.id, after.id]
+
     def test_torn_report_file_means_redo(self, tmp_path):
         registry = JobRegistry(str(tmp_path))
         job = registry.create(_submission())

@@ -7,7 +7,11 @@ in ``test_chaos.py``; here the restart scenarios use an in-process
 drain so they stay fast and deterministic.
 """
 
+import http.client
+import os
 import threading
+import time
+import urllib.parse
 
 import pytest
 
@@ -350,6 +354,54 @@ class TestDrainAndRestart:
             assert view["state"] == "done"
         finally:
             service2.stop()
+
+
+class TestResources:
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_served_jobs_leak_no_file_descriptors(self, tmp_path):
+        service, client = _start(tmp_path)
+
+        def serve(seed):
+            job_id = client.submit_campaign(**_grid(4, seed=seed))["job_id"]
+            for _ in client.stream(job_id, timeout=60.0):
+                pass
+            assert client.result(job_id)["state"] == "done"
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        try:
+            serve(0)  # warm up lazily opened files
+            before = open_fds()
+            for seed in range(1, 51):
+                serve(seed)
+            # handler threads close their sockets just after replying
+            deadline = time.monotonic() + 5.0
+            while open_fds() != before and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert open_fds() == before
+        finally:
+            service.stop()
+
+    def test_keep_alive_requests_do_not_stall(self, tmp_path):
+        service, _ = _start(tmp_path)
+        address = urllib.parse.urlsplit(service.address)
+        connection = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=10.0
+        )
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/v1/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            assert time.perf_counter() - started < 0.4
+        finally:
+            connection.close()
+            service.stop()
 
 
 class TestIntrospection:
