@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="termination protocol; 'confirmation' "
                               "requires n >= 2f+1 per pair and commits "
                               "a detection only after f+1 confirming "
-                              "votes (Byzantine-tolerant)")
+                              "votes (Byzantine-tolerant; incompatible "
+                              "with --method batch)")
     p_chaos.add_argument("--mode", type=str, default="sync",
                          metavar="SPEC",
                          help="activation timing: 'sync' (default) or a "
@@ -1023,21 +1024,12 @@ def _cmd_chaos(args: argparse.Namespace):
         RetryPolicy,
         chaos_scenarios,
     )
+    from repro.robustness.plan import plan_for
 
     if args.resume and not args.journal:
         raise LineSearchError("--resume requires --journal PATH")
     if args.retries < 0:
         raise LineSearchError("--retries must be >= 0")
-    if args.mode != "sync" and args.method == "batch":
-        raise LineSearchError(
-            "--method batch cannot run scheduled-time scenarios; "
-            "drop --mode or use --method event"
-        )
-    if args.variant != "line" and args.method == "batch":
-        raise LineSearchError(
-            "--method batch cannot run problem-variant scenarios; "
-            "drop --variant or use --method event"
-        )
     pairs = _parse_pairs(args.pairs)
     scenarios = chaos_scenarios(
         pairs,
@@ -1049,6 +1041,10 @@ def _cmd_chaos(args: argparse.Namespace):
         mode=args.mode,
         variant=args.variant,
     )
+    # Every spec of the grid shares the protocol, mode and variant.
+    _, refusal = plan_for(scenarios[0].spec, args.method)
+    if refusal is not None:
+        raise LineSearchError(refusal)
     executor = CampaignExecutor(
         jobs=args.jobs,
         timeout=args.timeout,

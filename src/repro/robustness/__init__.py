@@ -13,6 +13,8 @@ Entry points:
   grid of fleets × targets × fault specs;
 * :func:`~repro.robustness.campaign.run_campaign` — execute with
   per-scenario fault isolation and a configurable retry policy;
+* :mod:`~repro.robustness.plan` — the rules for a spec, in one place:
+  ``validate_spec`` and the ``plan_for`` engine table;
 * :class:`~repro.robustness.executor.CampaignExecutor` — the resilient
   execution substrate: parallel worker processes, watchdog timeouts,
   crash recovery, and a crash-safe journal with resume;

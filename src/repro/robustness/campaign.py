@@ -45,10 +45,13 @@ Finally, a spec may name a ``variant`` — the *problem* being solved:
 ``"line"`` (the source paper's whole-line search, the default),
 ``"halfline"`` (p-faulty search on a ray, arXiv:2002.07797), or
 ``"evacuation"`` (commit-then-gather with a near majority of faulty
-agents, arXiv:2605.08355).  Non-line specs are realized and executed by
-the matching :class:`~repro.variants.base.ProblemVariant`; line specs
+agents, arXiv:2605.08355).  Every spec is realized and executed by its
+variant's :class:`~repro.variants.base.ProblemVariant`; line specs
 behave bit-for-bit as before the field existed (the parity harness of
 :mod:`repro.variants.parity` pins this).
+
+Which specs are valid and which engine runs each is decided in
+:mod:`repro.robustness.plan`.
 
 Programmatic callers can bypass the DSL entirely by handing
 :func:`run_campaign` arbitrary :class:`Scenario` objects whose ``build``
@@ -58,6 +61,7 @@ broken ones, which is exactly how the test suite chaos-tests the engine.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -78,7 +82,8 @@ from repro.robots.faults import (
     RandomFaults,
 )
 from repro.robots.fleet import Fleet
-from repro.simulation.engine import SearchSimulation
+from repro.robustness.plan import VARIANT_NAMES as VARIANTS
+from repro.robustness.plan import validate_spec
 
 __all__ = [
     "FAULT_KINDS",
@@ -108,11 +113,6 @@ FAULT_KINDS = (
 
 #: Termination protocols understood by :class:`ScenarioSpec`.
 PROTOCOLS = ("none", "confirmation")
-
-#: Problem variants understood by :class:`ScenarioSpec`.  Mirrors
-#: :data:`repro.variants.base.VARIANT_NAMES` (pinned by tests; kept as a
-#: literal here so spec validation needs no variant import).
-VARIANTS = ("line", "halfline", "evacuation")
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ class ScenarioSpec:
             n=int(data["n"]),
             f=int(data["f"]),
             target=float(data["target"]),
-            fault=str(data["fault"]),
+            fault=str(data.get("fault", "adversarial")),
             seed=None if data.get("seed") is None else int(data["seed"]),
             protocol=str(data.get("protocol", "none")),
             mode=str(data.get("mode", "sync")),
@@ -215,10 +215,9 @@ class Scenario:
     replay metadata, the factory is the truth.
 
     ``method="batch"`` opts the scenario into the analytic fast path of
-    :mod:`repro.batch` where its semantics are expressible there — the
-    pure crash-detection fault models, with invariant auditing off.
-    Everything else (behavioral faults, audited runs) silently uses the
-    event engine, which remains the oracle.
+    :mod:`repro.batch` where :func:`~repro.robustness.plan.plan_for`
+    allows it; everywhere else the scenario silently runs on the engine
+    the plan names, and the engines remain the oracle.
     """
 
     spec: ScenarioSpec
@@ -398,12 +397,6 @@ class CampaignReport:
 # spec realization
 # ----------------------------------------------------------------------
 
-def _algorithm_for(n: int, f: int):
-    from repro.schedule import algorithm_for
-
-    return algorithm_for(n, f)
-
-
 def _fault_model_for(spec: ScenarioSpec) -> Tuple[FaultModel, bool]:
     """Realize the fault spec string; returns ``(model, stochastic)``."""
     kind, _, argument = spec.fault.partition(":")
@@ -456,49 +449,17 @@ def _fault_model_for(spec: ScenarioSpec) -> Tuple[FaultModel, bool]:
             True,
         )
     raise InvalidParameterError(
-        f"unknown fault spec {spec.fault!r}; kinds: {', '.join(FAULT_KINDS)}"
+        f"unknown fault kind {kind!r}; kinds: {', '.join(FAULT_KINDS)}"
     )
-
-
-def _line_realize(spec: ScenarioSpec) -> Fleet:
-    """The fleet for a ``variant="line"`` spec: the regime schedule, or
-    the confirmation schedule when the protocol demands it."""
-    if spec.protocol == "confirmation":
-        from repro.schedule.byzantine import ByzantineConfirmationAlgorithm
-
-        algorithm = ByzantineConfirmationAlgorithm(spec.n, spec.f)
-    else:
-        algorithm = _algorithm_for(spec.n, spec.f)
-    return Fleet.from_algorithm(algorithm)
-
-
-@dataclass(frozen=True)
-class _SpecRealizer:
-    """Picklable scenario factory: realize ``spec`` on every call.
-
-    A module-level class rather than a closure so spec-built scenarios
-    survive pickling — the parallel executor ships them to worker
-    processes by value.  Non-line variants delegate to their
-    :class:`~repro.variants.base.ProblemVariant` (imported lazily in
-    the worker, so the variant package never loads for plain specs).
-    """
-
-    spec: ScenarioSpec
-
-    def __call__(self) -> Tuple[Fleet, FaultModel]:
-        if getattr(self.spec, "variant", "line") != "line":
-            from repro.variants import variant_for
-
-            return variant_for(self.spec.variant).realize(self.spec)
-        model, _ = _fault_model_for(self.spec)
-        return _line_realize(self.spec), model
 
 
 def build_scenario(spec: ScenarioSpec, method: str = "event") -> Scenario:
     """Realize a declarative spec into an executable scenario.
 
-    The returned scenario's factory is picklable, so it can be
-    dispatched to the parallel executor's worker processes as-is.
+    The spec is checked by :func:`~repro.robustness.plan.validate_spec`
+    first, so a malformed spec fails here rather than mid-campaign.  The
+    factory is the spec's variant's ``realize``, bound to the spec; it
+    pickles by value, so the parallel executor ships it to workers as-is.
 
     Examples:
         >>> scenario = build_scenario(ScenarioSpec(3, 1, 2.0, "crash_stop:1.5"))
@@ -506,36 +467,17 @@ def build_scenario(spec: ScenarioSpec, method: str = "event") -> Scenario:
         >>> fleet.size
         3
     """
+    from repro.variants import variant_for
+
     if method not in ("event", "batch"):
         raise InvalidParameterError(
             f"method must be 'event' or 'batch', got {method!r}"
         )
-    if spec.protocol not in PROTOCOLS:
-        raise InvalidParameterError(
-            f"unknown protocol {spec.protocol!r}; "
-            f"protocols: {', '.join(PROTOCOLS)}"
-        )
-    if spec.variant not in VARIANTS:
-        raise InvalidParameterError(
-            f"unknown variant {spec.variant!r}; "
-            f"variants: {', '.join(VARIANTS)}"
-        )
-    if spec.variant != "line":
-        # Eagerly reject infeasible variant specs (e.g. evacuation
-        # without a reliable majority) at build time.
-        from repro.variants import variant_for
-
-        variant_for(spec.variant).validate_spec(spec)
-    if spec.mode != "sync":
-        # Eagerly parse so a bad mode fails at build time, not inside a
-        # worker process mid-campaign.
-        from repro.async_sched.schedulers import scheduler_from_spec
-
-        scheduler_from_spec(spec.mode)
+    validate_spec(spec)
     _, stochastic = _fault_model_for(spec)
     return Scenario(
         spec=spec,
-        build=_SpecRealizer(spec),
+        build=functools.partial(variant_for(spec.variant).realize, spec),
         stochastic=stochastic,
         method=method,
     )
@@ -557,20 +499,13 @@ def chaos_scenarios(
     campaign is reproducible from ``seed`` alone and every entry is
     replayable from its own recorded seed.
 
-    ``method="batch"`` marks every generated scenario for the analytic
-    fast path; scenarios whose fault model the batch subsystem cannot
-    express (behavioral faults) still run through the engine.
-    ``protocol="confirmation"`` runs every scenario under the Byzantine
-    voting layer — confirmation scenarios always use the event-level
-    protocol simulation, since the batch kernels have no claim/vote
-    semantics.  A non-default ``mode`` (an activation-scheduler spec,
-    e.g. ``"event:adversarial:1.0"``) runs every scenario through the
-    discrete-event engine; the per-scenario seed also seeds the
+    ``protocol``, ``mode`` and ``variant`` apply to every generated
+    spec; the per-scenario seed also seeds a non-default ``mode``'s
     scheduler, so the whole campaign stays replayable from its spec.
-    A non-default ``variant`` sweeps the grid over that problem variant
-    instead (e.g. ``variant="halfline"``); variant scenarios always
-    execute through their variant's own dispatch, never the batch fast
-    path.
+    Which engine runs each scenario — and whether ``method="batch"``
+    can take the analytic fast path — is decided by
+    :func:`~repro.robustness.plan.plan_for`; where the plan refuses
+    batch, the library silently uses the event engines.
 
     Examples:
         >>> grid = chaos_scenarios([(3, 1)], [1.0, -2.0], ["none", "random"])
@@ -599,139 +534,6 @@ def chaos_scenarios(
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
-
-def _batch_outcome(fleet: Fleet, model: FaultModel, target: float):
-    """Run one scenario through the batch kernels, or ``None`` when its
-    fault model is not expressible there.
-
-    Only the pure crash-detection models qualify (exact types — a
-    subclass may override semantics): the adversarial worst case maps to
-    ``T_{f+1}``, and fixed/random subsets map to a column min over the
-    reliable robots.  Behavioral models (crash-stop, Byzantine,
-    probabilistic) shape trajectories or detection draws in ways the
-    first-visit matrix does not capture, so they stay on the engine.
-    """
-    import math as _math
-
-    from repro.batch import BatchEvaluator
-    from repro.core.tolerance import times_close
-    from repro.simulation.metrics import SearchOutcome
-
-    if type(model) is AdversarialFaults:
-        evaluator = BatchEvaluator(fleet, fault_budget=model.fault_budget)
-        detection_time = evaluator.search_times([target])[0]
-        faulty = frozenset(model.assign(fleet, target))
-    elif type(model) in (FixedFaults, RandomFaults):
-        faulty = frozenset(model.assign(fleet, target))
-        evaluator = BatchEvaluator(fleet, fault_budget=model.fault_budget)
-        detection_time = evaluator.detection_times([target], faulty)[0]
-    else:
-        return None
-    detecting = None
-    if _math.isfinite(detection_time):
-        for robot in fleet:
-            if robot.index in faulty:
-                continue
-            t = robot.trajectory.first_visit_time(target)
-            if t is not None and times_close(t, detection_time):
-                detecting = robot.index
-                break
-    return SearchOutcome(
-        target=target,
-        detection_time=detection_time,
-        detecting_robot=detecting,
-        faulty_robots=faulty,
-        events=(),
-    )
-
-
-def _dispatch_engines(
-    scenario: Scenario,
-    fleet: Fleet,
-    model: FaultModel,
-    check_invariants: bool,
-    allow_batch: bool = True,
-):
-    """Route one realized scenario to the right execution engine.
-
-    Shared by the line path of :func:`_run_once` and by variants whose
-    termination predicate matches the base problem (the half-line
-    variant reuses it verbatim, with ``allow_batch=False`` since the
-    batch kernels assume whole-line fleets).
-    """
-    mode = getattr(scenario.spec, "mode", "sync")
-    if getattr(scenario.spec, "protocol", "none") == "confirmation":
-        # The confirmation protocol is inherently event-level (claims,
-        # votes, diversions): ``method="batch"`` scenarios fall back to
-        # the protocol simulation here, and the *service* rejects the
-        # combination up front so API clients are never silently
-        # downgraded.
-        from repro.byzantine.simulate import ByzantineSearchSimulation
-
-        timelines = None
-        if mode != "sync":
-            from repro.async_sched.engine import timelines_for
-            from repro.async_sched.schedulers import scheduler_from_spec
-
-            timelines = timelines_for(
-                [r.effective_trajectory for r in fleet],
-                scheduler_from_spec(mode),
-                scenario.spec.target,
-                seed=scenario.spec.seed or 0,
-            )
-        return ByzantineSearchSimulation(
-            fleet,
-            scenario.spec.target,
-            fault_model=model,
-            check_invariants=check_invariants,
-            timelines=timelines,
-        ).run()
-    if mode != "sync":
-        # Scheduled-time scenarios always render through the discrete-
-        # event engine — the batch kernels have no notion of wall time.
-        from repro.async_sched.engine import EventEngine
-        from repro.async_sched.schedulers import scheduler_from_spec
-
-        return EventEngine(
-            fleet,
-            scenario.spec.target,
-            scheduler=scheduler_from_spec(mode),
-            fault_model=model,
-            seed=scenario.spec.seed or 0,
-            check_invariants=check_invariants,
-        ).run(with_events=check_invariants)
-    # The batch fast path produces no event log, so the invariant audit
-    # (which needs one) forces the engine; the engine is the oracle.
-    if (
-        allow_batch
-        and getattr(scenario, "method", "event") == "batch"
-        and not check_invariants
-    ):
-        outcome = _batch_outcome(fleet, model, scenario.spec.target)
-        if outcome is not None:
-            return outcome
-    simulation = SearchSimulation(
-        fleet,
-        scenario.spec.target,
-        fault_model=model,
-        check_invariants=check_invariants,
-    )
-    return simulation.run(with_events=check_invariants)
-
-
-def _run_once(scenario: Scenario, check_invariants: bool):
-    variant = getattr(scenario.spec, "variant", "line")
-    if variant != "line":
-        from repro.variants import variant_for
-
-        return variant_for(variant).run(
-            scenario, check_invariants=check_invariants
-        )
-    fleet, model = scenario.build()
-    return _dispatch_engines(
-        scenario, fleet, model, check_invariants, allow_batch=True
-    )
-
 
 def error_class_of(exc: BaseException) -> str:
     """The error label recorded on results: bare name for library errors,

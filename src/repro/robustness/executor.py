@@ -57,7 +57,6 @@ from repro.robustness.campaign import (
     CampaignReport,
     Scenario,
     ScenarioResult,
-    _run_once,
     error_class_of,
 )
 from repro.robustness.journal import CampaignJournal
@@ -158,6 +157,8 @@ def _attempt_payload(
     """
     import math
 
+    from repro.variants import variant_for
+
     previous = active = None
     if telemetry:
         active = obs.Telemetry()
@@ -169,7 +170,9 @@ def _attempt_payload(
             seed=scenario.spec.seed,
         ) as attempt_span:
             try:
-                outcome = _run_once(scenario, check_invariants)
+                outcome = variant_for(scenario.spec.variant).run(
+                    scenario, check_invariants
+                )
             except Exception as exc:
                 attempt_span.set(error=error_class_of(exc))
                 payload: Dict[str, Any] = {

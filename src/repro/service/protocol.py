@@ -38,12 +38,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import InvalidParameterError, LineSearchError
-from repro.robustness.campaign import (
-    FAULT_KINDS,
-    PROTOCOLS,
-    VARIANTS,
-    ScenarioSpec,
-)
+# VARIANTS is re-exported: the wire vocabulary of a spec's ``variant``.
+from repro.robustness.campaign import FAULT_KINDS, VARIANTS, ScenarioSpec
+from repro.robustness.plan import plan_for, validate_spec
 
 __all__ = [
     "ERROR_CODES",
@@ -205,33 +202,12 @@ def _parse_spec(entry: Any) -> ScenarioSpec:
     if unknown:
         raise _bad(f"unknown spec field(s): {', '.join(sorted(unknown))}")
     try:
-        spec = ScenarioSpec.from_dict(
-            {
-                "n": entry["n"],
-                "f": entry["f"],
-                "target": entry["target"],
-                "fault": entry.get("fault", "adversarial"),
-                "seed": entry.get("seed"),
-                "protocol": entry.get("protocol", "none"),
-                "mode": entry.get("mode", "sync"),
-                "variant": entry.get("variant", "line"),
-            }
-        )
+        spec = ScenarioSpec.from_dict(entry)
     except (KeyError, TypeError, ValueError) as exc:
         raise _bad(f"invalid scenario spec: {exc}") from None
     if spec.n < 1 or spec.f < 0 or spec.f >= spec.n:
         raise _bad(
             f"spec requires 1 <= f+1 <= n, got n={spec.n} f={spec.f}"
-        )
-    kind = spec.fault.partition(":")[0]
-    if kind not in FAULT_KINDS:
-        raise _bad(
-            f"unknown fault kind {kind!r}; kinds: {', '.join(FAULT_KINDS)}"
-        )
-    if spec.protocol not in PROTOCOLS:
-        raise _bad(
-            f"unknown protocol {spec.protocol!r}; "
-            f"protocols: {', '.join(PROTOCOLS)}"
         )
     if spec.protocol == "confirmation" and spec.n < 2 * spec.f + 1:
         raise _bad(
@@ -239,23 +215,10 @@ def _parse_spec(entry: Any) -> ScenarioSpec:
             f"{2 * spec.f + 1} robots to tolerate {spec.f} liars, "
             f"got n = {spec.n}"
         )
-    if spec.variant not in VARIANTS:
-        raise _bad(
-            f"unknown variant {spec.variant!r}; "
-            f"variants: {', '.join(VARIANTS)}"
-        )
-    if spec.variant == "evacuation" and spec.n < 2 * spec.f + 1:
-        raise _bad(
-            f"the evacuation variant needs a reliable majority "
-            f"(n >= 2f + 1 = {2 * spec.f + 1}), got n = {spec.n}"
-        )
-    if spec.mode != "sync":
-        from repro.async_sched.schedulers import scheduler_from_spec
-
-        try:
-            scheduler_from_spec(spec.mode)
-        except (InvalidParameterError, TypeError, ValueError) as exc:
-            raise _bad(f"invalid scheduler mode {spec.mode!r}: {exc}") from None
+    try:
+        validate_spec(spec)
+    except InvalidParameterError as exc:
+        raise _bad(str(exc)) from None
     return spec
 
 
@@ -334,9 +297,10 @@ def parse_submission(
     spec like ``"event:adversarial:1.0"`` — the scheduled-time engine)
     and ``variant`` (``"line"``, ``"halfline"``, or ``"evacuation"`` —
     the problem variant, see :mod:`repro.variants`); grid submissions
-    set each once at the top level.  Confirmation, scheduled-time, and
-    problem-variant scenarios are event-only: combining any of them
-    with ``method="batch"`` is refused with ``bad_request``.
+    set each once at the top level.  Specs are checked by
+    :func:`~repro.robustness.plan.validate_spec`, and ``method="batch"``
+    is refused with ``bad_request`` wherever
+    :func:`~repro.robustness.plan.plan_for` refuses it.
 
     Examples:
         >>> sub = parse_submission({"spec": {"n": 3, "f": 1, "target": 2.0}})
@@ -375,31 +339,12 @@ def parse_submission(
     method = str(payload.get("method", default_method))
     if method not in ("event", "batch"):
         raise _bad(f"method must be 'event' or 'batch', got {method!r}")
-    # The confirmation protocol is claim/vote/diversion event
-    # machinery; the batch kernels cannot express it, and the server
-    # refuses rather than silently downgrading the client's choice.
-    if method == "batch" and any(
-        spec.protocol == "confirmation" for spec in specs
-    ):
-        raise _bad(
-            "method 'batch' cannot run confirmation-protocol scenarios; "
-            "use method 'event' for protocol='confirmation'"
-        )
-    # Likewise the batch kernels have no notion of activation schedules
-    # or wall time, so scheduled-time scenarios are event-only.
-    if method == "batch" and any(spec.mode != "sync" for spec in specs):
-        raise _bad(
-            "method 'batch' cannot run scheduled-time scenarios; "
-            "use method 'event' for mode != 'sync'"
-        )
-    # Variant scenarios execute through their variant's own dispatch,
-    # which never takes the batch fast path; refuse rather than
-    # silently downgrade.
-    if method == "batch" and any(spec.variant != "line" for spec in specs):
-        raise _bad(
-            "method 'batch' cannot run problem-variant scenarios; "
-            "use method 'event' for variant != 'line'"
-        )
+    if method == "batch":
+        # Refuse rather than silently downgrade the client's choice.
+        for spec in specs:
+            _, refusal = plan_for(spec, method)
+            if refusal is not None:
+                raise _bad(refusal)
     # The batch fast path needs the invariant audit off (the audit
     # requires an event log only the engine produces); default
     # accordingly but let the client force either.

@@ -15,10 +15,8 @@ can vary along:
   by default).
 
 Variants are stateless singletons looked up by name through
-:func:`variant_for`; :data:`VARIANT_NAMES` is the authoritative name
-tuple, mirrored by ``repro.robustness.campaign.VARIANTS`` (the two are
-pinned against each other by the test suite — campaign cannot import
-this module at module level without a cycle).
+:func:`variant_for`; :data:`VARIANT_NAMES` comes from
+:mod:`repro.robustness.plan`, which owns every rule about a spec.
 """
 
 from __future__ import annotations
@@ -27,32 +25,29 @@ from abc import ABC, abstractmethod
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import InvalidParameterError
+from repro.robustness.plan import VARIANT_NAMES, run_plan
 
 __all__ = ["VARIANT_NAMES", "ProblemVariant", "variant_for"]
-
-#: Registered variant names, in registry order.
-VARIANT_NAMES = ("line", "halfline", "evacuation")
 
 
 class ProblemVariant(ABC):
     """One problem statement: domain + termination predicate + objective.
 
-    Subclasses set :attr:`name` and implement :meth:`validate_spec`,
-    :meth:`realize`, and :meth:`run`.  Instances are stateless — the
-    registry hands out singletons and scenario workers may share them
-    freely.
+    Subclasses set :attr:`name` and implement :meth:`realize`; they
+    override :meth:`validate_spec` to refuse infeasible specs.
+    Instances are stateless — the registry hands out singletons and
+    scenario workers may share them freely.
     """
 
     #: Registry name; the value stored in ``ScenarioSpec.variant``.
     name: str = ""
 
-    @abstractmethod
     def validate_spec(self, spec: Any) -> None:
         """Reject specs this variant cannot execute.
 
         Raises :class:`~repro.errors.InvalidParameterError` on
         infeasible parameters (e.g. an evacuation fleet without a
-        reliable majority); returns ``None`` when the spec is fine.
+        reliable majority); the default accepts every spec.
         """
 
     @abstractmethod
@@ -63,7 +58,6 @@ class ProblemVariant(ABC):
         define which part of the line the variant searches and how.
         """
 
-    @abstractmethod
     def run(self, scenario: Any, check_invariants: bool = True) -> Any:
         """Execute a scenario to a :class:`~repro.simulation.metrics.SearchOutcome`.
 
@@ -72,7 +66,10 @@ class ProblemVariant(ABC):
         predicate was met (first detection, quorum commit, all reliable
         robots gathered, ...), so every downstream consumer — campaign
         executors, reports, perf workloads — scores variants uniformly.
+        The engine is the one :func:`~repro.robustness.plan.plan_for`
+        names for the scenario's spec.
         """
+        return run_plan(scenario, check_invariants)
 
     def objective(self, outcome: Any) -> Optional[float]:
         """Score an outcome; the competitive ratio by default."""

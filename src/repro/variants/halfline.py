@@ -40,6 +40,7 @@ from repro.core.halfline import (
 from repro.errors import InvalidParameterError
 from repro.observability import instrument as obs
 from repro.robots.fleet import Fleet
+from repro.robustness.plan import run_plan
 from repro.schedule.halfline import HalfLineAlgorithm
 from repro.variants.base import ProblemVariant
 
@@ -80,9 +81,6 @@ class HalfLineVariant(ProblemVariant):
 
     name = "halfline"
 
-    def validate_spec(self, spec: Any) -> None:
-        """Every fault kind, mode, and protocol composes with the ray."""
-
     def realize(self, spec: Any) -> Tuple[Any, Any]:
         from repro.robustness.campaign import _fault_model_for
 
@@ -92,8 +90,6 @@ class HalfLineVariant(ProblemVariant):
         return Fleet.from_algorithm(algorithm), model
 
     def run(self, scenario: Any, check_invariants: bool = True) -> Any:
-        from repro.robustness.campaign import _dispatch_engines
-
         telemetry = obs.current()
         started = _time.perf_counter() if telemetry is not None else 0.0
         with obs.span(
@@ -103,12 +99,7 @@ class HalfLineVariant(ProblemVariant):
             n=scenario.spec.n,
             f=scenario.spec.f,
         ):
-            fleet, model = scenario.build()
-            # The batch kernels assume whole-line proportional fleets;
-            # the ray always renders through the engines.
-            outcome = _dispatch_engines(
-                scenario, fleet, model, check_invariants, allow_batch=False
-            )
+            outcome = run_plan(scenario, check_invariants)
         if telemetry is not None:
             obs.count("variants_runs_total")
             obs.count("variants_halfline_runs_total")

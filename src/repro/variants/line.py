@@ -2,19 +2,21 @@
 
 The whole-line, first-reliable-detection problem that the rest of the
 library implements is itself a member of the variant family — the
-identity member.  :class:`LineVariant` realizes specs exactly the way
-the campaign layer always has (same regime dispatch, same fault DSL)
-and runs them through the same engine dispatch (continuous engine,
-event engine for scheduled time, confirmation protocol), so a spec with
-``variant="line"`` behaves bit-for-bit like one from before variants
-existed.  The parity harness (:mod:`repro.variants.parity`) pins that
-claim against direct engine invocation on a seeded grid.
+identity member.  :class:`LineVariant` realizes specs with the regime
+dispatch and the campaign's fault DSL, and runs them on the engine
+:mod:`repro.robustness.plan` names, so a spec with ``variant="line"``
+behaves bit-for-bit like one from before variants existed.  The parity
+harness (:mod:`repro.variants.parity`) pins that claim against direct
+engine invocation on a seeded grid.
 """
 
 from __future__ import annotations
 
 from typing import Any, Tuple
 
+from repro.robots.fleet import Fleet
+from repro.schedule import algorithm_for
+from repro.schedule.byzantine import ByzantineConfirmationAlgorithm
 from repro.variants.base import ProblemVariant
 
 __all__ = ["LineVariant"]
@@ -39,19 +41,12 @@ class LineVariant(ProblemVariant):
 
     name = "line"
 
-    def validate_spec(self, spec: Any) -> None:
-        """Every campaign-valid spec is line-valid."""
-
     def realize(self, spec: Any) -> Tuple[Any, Any]:
-        from repro.robustness.campaign import _fault_model_for, _line_realize
+        from repro.robustness.campaign import _fault_model_for
 
         model, _ = _fault_model_for(spec)
-        return _line_realize(spec), model
-
-    def run(self, scenario: Any, check_invariants: bool = True) -> Any:
-        from repro.robustness.campaign import _dispatch_engines
-
-        fleet, model = scenario.build()
-        return _dispatch_engines(
-            scenario, fleet, model, check_invariants, allow_batch=True
-        )
+        if spec.protocol == "confirmation":
+            algorithm = ByzantineConfirmationAlgorithm(spec.n, spec.f)
+        else:
+            algorithm = algorithm_for(spec.n, spec.f)
+        return Fleet.from_algorithm(algorithm), model

@@ -81,6 +81,20 @@ class TestParseSubmission:
                 {"spec": {"n": 3, "f": 1, "target": 1.0, "fault": "gremlin"}}
             )
 
+    @pytest.mark.parametrize(
+        "fault",
+        ["crash_stop:abc", "probabilistic:1.5", "fixed:x", "byzantine:a;b"],
+    )
+    def test_malformed_fault_argument_rejected(self, fault):
+        # Refused at submit, not accepted and then failed as `internal`.
+        with pytest.raises(ServiceError) as info:
+            parse_submission(
+                {"specs": [{"n": 3, "f": 1, "target": 1.0},
+                           {"n": 3, "f": 1, "target": 1.0, "fault": fault}]}
+            )
+        assert info.value.code == "bad_request"
+        assert fault in str(info.value)
+
     def test_empty_specs_rejected(self):
         with pytest.raises(ServiceError, match="must not be empty"):
             parse_submission({"specs": []})

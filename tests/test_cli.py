@@ -305,6 +305,18 @@ class TestChaos:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize(
+        "fault",
+        ["crash_stop:abc", "probabilistic:1.5", "fixed:x", "byzantine:a;b"],
+    )
+    def test_malformed_fault_argument_exits_2(self, capsys, fault):
+        code, _, err = run_cli(
+            capsys, "chaos", "--pairs", "3,1", "--targets", "1.0",
+            "--faults", "none", fault,
+        )
+        assert code == 2
+        assert fault in err and "Traceback" not in err
+
 
 class TestAsyncCLI:
     def test_sweep_prints_table(self, capsys):
