@@ -47,7 +47,6 @@ from repro.async_sched import (
     EventEngine,
     FsyncScheduler,
     SsyncScheduler,
-    run_async_parity,
     run_degradation_sweep,
     scheduler_from_spec,
 )
@@ -122,6 +121,7 @@ from repro.observability import (
     disable_telemetry,
     enable_telemetry,
 )
+from repro.parity import run_async_parity, run_variant_parity
 from repro.perf import (
     compare_reports,
     profile_spans,
@@ -181,7 +181,6 @@ from repro.variants import (
     LineVariant,
     ProblemVariant,
     run_halfline_sweep,
-    run_variant_parity,
     variant_for,
 )
 

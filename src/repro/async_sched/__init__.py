@@ -9,7 +9,7 @@ the resulting wall-clock event log with the existing
 (:mod:`repro.extensions.multi_speed`) and the Byzantine confirmation
 protocol (via per-robot timelines), and reproduces the continuous
 engine bit-exactly under FSYNC/unit-speed — see
-:mod:`repro.async_sched.parity`.
+:func:`repro.parity.run_async_parity`.
 
 Modules:
     timeline: lazy wall↔plan maps built from scheduler slices.
@@ -17,7 +17,6 @@ Modules:
     engine: the heap-merge discrete-event engine.
     invariants: scheduled-time invariant audits.
     sweep: CR-degradation sweeps (ratio vs. scheduler adversity).
-    parity: the FSYNC bit-exactness harness against the oracle.
 """
 
 from repro.async_sched.engine import (
@@ -28,11 +27,6 @@ from repro.async_sched.engine import (
 from repro.async_sched.invariants import (
     audit_async_outcome,
     check_async_outcome,
-)
-from repro.async_sched.parity import (
-    AsyncParityCase,
-    AsyncParityReport,
-    run_async_parity,
 )
 from repro.async_sched.schedulers import (
     SCHEDULER_KINDS,
@@ -54,8 +48,6 @@ from repro.async_sched.timeline import Timeline
 __all__ = [
     "ActivationScheduler",
     "AdversarialScheduler",
-    "AsyncParityCase",
-    "AsyncParityReport",
     "AsyncRunRecord",
     "AsyncScheduler",
     "DegradationPoint",
@@ -68,7 +60,6 @@ __all__ = [
     "Timeline",
     "audit_async_outcome",
     "check_async_outcome",
-    "run_async_parity",
     "run_degradation_sweep",
     "scheduler_from_spec",
     "timelines_for",

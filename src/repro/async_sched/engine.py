@@ -17,8 +17,8 @@ continuous engine makes, and wall times are produced as
 ``plan_t + cumulative_gap`` (see :mod:`repro.async_sched.timeline`).
 Under :class:`~repro.async_sched.schedulers.FsyncScheduler` every gap is
 ``0.0``, so every emitted time — including the detection time — is
-bit-identical to the continuous engine's (the parity harness in
-:mod:`repro.async_sched.parity` asserts ``==``, not ``isclose``).
+bit-identical to the continuous engine's (the parity harness
+:func:`repro.parity.run_async_parity` asserts ``==``, not ``isclose``).
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ as an infinite stream of ``(gap, burst)`` slices per robot, consumed by
 
 - ``FSYNC`` — fully synchronous rounds: every robot active in every
   round, zero gaps.  The event engine in this mode reproduces the
-  continuous engine bit-exactly (see ``async_sched/parity.py``).
+  continuous engine bit-exactly (see :mod:`repro.parity`).
 - ``SSYNC`` — semi-synchronous: a seeded random subset of robots is
   active each round; inactive robots accrue one quantum of idle gap.
   A fairness cap (``max_idle_rounds``) forces activation so every

@@ -14,10 +14,11 @@ answers it for whole grids at once:
   the ``scientific`` extra) — bit-for-bit identical by construction;
 * :mod:`repro.batch.evaluate` is the high-level entry point
   (:class:`BatchEvaluator`);
-* :mod:`repro.batch.parity` replays seeded grids through both the
-  kernels and :class:`~repro.simulation.engine.SearchSimulation` and
-  asserts agreement — the engine stays the oracle, batch is the fast
-  path (opt-in via ``method="batch"`` in the sweeps and campaigns).
+* :func:`repro.parity.run_parity_harness` replays seeded grids
+  through both the kernels and
+  :class:`~repro.simulation.engine.SearchSimulation` and asserts
+  agreement — the engine stays the oracle, batch is the fast path
+  (opt-in via ``method="batch"`` in the sweeps and campaigns).
 
 Quickstart::
 
@@ -43,7 +44,6 @@ from repro.batch.compile import (
     compile_trajectory,
 )
 from repro.batch.evaluate import BatchEvaluator
-from repro.batch.parity import ParityCase, ParityReport, run_parity_harness
 
 __all__ = [
     "BatchBackend",
@@ -51,12 +51,9 @@ __all__ = [
     "CompiledFleet",
     "CompiledTrajectory",
     "NumpyBackend",
-    "ParityCase",
-    "ParityReport",
     "PureBackend",
     "available_backends",
     "compile_fleet",
     "compile_trajectory",
     "get_backend",
-    "run_parity_harness",
 ]

@@ -16,7 +16,7 @@ the quantities the per-target paths compute:
   :class:`~repro.simulation.adversary.CompetitiveRatioEstimator`.
 
 The event engine remains the semantic oracle — the parity harness
-(:mod:`repro.batch.parity`) and the property suite hold this module to
+(:func:`repro.parity.run_parity_harness`) and the property suite hold this module to
 engine agreement within :mod:`repro.core.tolerance` bounds.
 """
 

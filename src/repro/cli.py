@@ -789,6 +789,17 @@ def _parse_pairs(raw_pairs):
     return pairs
 
 
+def _emit_report(report, path: Optional[str], passed: bool = True):
+    """A report's ``describe()``, its JSON written to ``path`` when
+    given, and exit code 1 unless ``passed``."""
+    lines = [report.describe()]
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(report.to_json() + "\n")
+        lines.append(f"wrote {path}")
+    return "\n".join(lines), 0 if passed else 1
+
+
 def _cmd_batch(args: argparse.Namespace):
     from repro.batch import BatchEvaluator, available_backends
 
@@ -851,12 +862,9 @@ def _cmd_batch(args: argparse.Namespace):
         )
 
     if args.batch_command == "parity":
-        from repro.batch import run_parity_harness
-        from repro.batch.parity import DEFAULT_PAIRS
+        from repro.parity import BATCH_PAIRS, run_parity_harness
 
-        pairs = (
-            _parse_pairs(args.pairs) if args.pairs else list(DEFAULT_PAIRS)
-        )
+        pairs = _parse_pairs(args.pairs) if args.pairs else list(BATCH_PAIRS)
         report = run_parity_harness(
             pairs=pairs,
             targets_per_pair=args.targets,
@@ -865,12 +873,7 @@ def _cmd_batch(args: argparse.Namespace):
             backend=args.backend,
             x_max=args.x_max,
         )
-        lines = [report.describe()]
-        if args.report_json:
-            with open(args.report_json, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json() + "\n")
-            lines.append(f"wrote {args.report_json}")
-        return "\n".join(lines), 0 if report.passed else 1
+        return _emit_report(report, args.report_json, report.passed)
 
     raise LineSearchError(f"unknown batch subcommand {args.batch_command!r}")
 
@@ -890,20 +893,12 @@ def _cmd_async(args: argparse.Namespace):
             points=args.points,
             speeds=args.speeds,
         )
-        lines = [report.describe()]
-        if args.report_json:
-            with open(args.report_json, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json() + "\n")
-            lines.append(f"wrote {args.report_json}")
-        return "\n".join(lines)
+        return _emit_report(report, args.report_json)
 
     if args.async_command == "parity":
-        from repro.async_sched import run_async_parity
-        from repro.async_sched.parity import DEFAULT_PAIRS
+        from repro.parity import ASYNC_PAIRS, run_async_parity
 
-        pairs = (
-            _parse_pairs(args.pairs) if args.pairs else list(DEFAULT_PAIRS)
-        )
+        pairs = _parse_pairs(args.pairs) if args.pairs else list(ASYNC_PAIRS)
         report = run_async_parity(
             pairs=pairs,
             targets_per_pair=args.targets,
@@ -911,12 +906,7 @@ def _cmd_async(args: argparse.Namespace):
             x_max=args.x_max,
             quantum=args.quantum,
         )
-        lines = [report.describe()]
-        if args.report_json:
-            with open(args.report_json, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json() + "\n")
-            lines.append(f"wrote {args.report_json}")
-        return "\n".join(lines), 0 if report.passed else 1
+        return _emit_report(report, args.report_json, report.passed)
 
     raise LineSearchError(f"unknown async subcommand {args.async_command!r}")
 
@@ -930,12 +920,7 @@ def _cmd_variants(args: argparse.Namespace):
             target=args.target,
             rtol=args.rtol,
         )
-        lines = [report.describe()]
-        if args.report_json:
-            with open(args.report_json, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json() + "\n")
-            lines.append(f"wrote {args.report_json}")
-        return "\n".join(lines), 0 if report.passed else 1
+        return _emit_report(report, args.report_json, report.passed)
 
     if args.variants_command == "bound":
         from repro.core.evacuation import (
@@ -994,10 +979,10 @@ def _cmd_variants(args: argparse.Namespace):
         return outcome.describe()
 
     if args.variants_command == "parity":
-        from repro.variants.parity import DEFAULT_PAIRS, run_variant_parity
+        from repro.parity import VARIANT_PAIRS, run_variant_parity
 
         pairs = (
-            _parse_pairs(args.pairs) if args.pairs else list(DEFAULT_PAIRS)
+            _parse_pairs(args.pairs) if args.pairs else list(VARIANT_PAIRS)
         )
         report = run_variant_parity(
             pairs=pairs,
@@ -1005,12 +990,7 @@ def _cmd_variants(args: argparse.Namespace):
             seed=args.seed,
             x_max=args.x_max,
         )
-        lines = [report.describe()]
-        if args.report_json:
-            with open(args.report_json, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json() + "\n")
-            lines.append(f"wrote {args.report_json}")
-        return "\n".join(lines), 0 if report.passed else 1
+        return _emit_report(report, args.report_json, report.passed)
 
     raise LineSearchError(
         f"unknown variants subcommand {args.variants_command!r}"

@@ -47,8 +47,8 @@ Finally, a spec may name a ``variant`` — the *problem* being solved:
 ``"evacuation"`` (commit-then-gather with a near majority of faulty
 agents, arXiv:2605.08355).  Every spec is realized and executed by its
 variant's :class:`~repro.variants.base.ProblemVariant`; line specs
-behave bit-for-bit as before the field existed (the parity harness of
-:mod:`repro.variants.parity` pins this).
+behave bit-for-bit as before the field existed (the parity harness
+:func:`repro.parity.run_variant_parity` pins this).
 
 Which specs are valid and which engine runs each is decided in
 :mod:`repro.robustness.plan`.

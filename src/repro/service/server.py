@@ -243,7 +243,7 @@ class LineSearchService:
         if not self.config.parity_check:
             self._parity = {"checked": False, "backend": self._backend_name}
             return
-        from repro.batch import run_parity_harness
+        from repro.parity import run_parity_harness
 
         report = run_parity_harness(
             pairs=[(3, 1), (4, 2)],

@@ -11,7 +11,7 @@ Concrete variants:
 
 * ``line`` (:mod:`repro.variants.line`) — the source paper's problem,
   delegating to the existing engines; the parity harness
-  (:mod:`repro.variants.parity`) pins it bit-exact against direct
+  (:func:`repro.parity.run_variant_parity`) pins it bit-exact against direct
   engine invocation;
 * ``halfline`` (:mod:`repro.variants.halfline`) — p-faulty search on a
   ray (arXiv:2002.07797): one-sided schedules that never cross the
@@ -48,11 +48,6 @@ from repro.variants.invariants import (
     check_evacuation_outcome,
 )
 from repro.variants.line import LineVariant
-from repro.variants.parity import (
-    VariantParityCase,
-    VariantParityReport,
-    run_variant_parity,
-)
 
 __all__ = [
     "EvacuationOutcome",
@@ -64,13 +59,10 @@ __all__ = [
     "LineVariant",
     "ProblemVariant",
     "VARIANT_NAMES",
-    "VariantParityCase",
-    "VariantParityReport",
     "audit_evacuation_outcome",
     "check_evacuation_outcome",
     "halfline_expected_estimate",
     "halfline_fleet",
     "run_halfline_sweep",
-    "run_variant_parity",
     "variant_for",
 ]

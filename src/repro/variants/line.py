@@ -6,8 +6,8 @@ identity member.  :class:`LineVariant` realizes specs with the regime
 dispatch and the campaign's fault DSL, and runs them on the engine
 :mod:`repro.robustness.plan` names, so a spec with ``variant="line"``
 behaves bit-for-bit like one from before variants existed.  The parity
-harness (:mod:`repro.variants.parity`) pins that claim against direct
-engine invocation on a seeded grid.
+harness (:func:`repro.parity.run_variant_parity`) pins that claim
+against direct engine invocation on a seeded grid.
 """
 
 from __future__ import annotations

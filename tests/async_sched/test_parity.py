@@ -2,8 +2,8 @@
 
 import json
 
-from repro.async_sched import run_async_parity
-from repro.async_sched.parity import DEFAULT_FAULT_KINDS, DEFAULT_PAIRS
+from repro.parity import ASYNC_PAIRS as DEFAULT_PAIRS
+from repro.parity import DEFAULT_FAULT_KINDS, run_async_parity
 
 
 class TestHarness:
@@ -22,9 +22,9 @@ class TestHarness:
             pairs=[(3, 1)], targets_per_pair=3, seed=2016
         )
         for case in report.cases:
-            if case.continuous_time is not None:
+            if case.oracle_time is not None:
                 assert (
-                    case.continuous_time.hex() == case.event_time.hex()
+                    case.oracle_time.hex() == case.candidate_time.hex()
                 ), case
 
     def test_default_regimes(self):

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.batch.parity import DEFAULT_PAIRS, run_parity_harness
 from repro.errors import InvalidParameterError
+from repro.parity import BATCH_PAIRS as DEFAULT_PAIRS
+from repro.parity import run_parity_harness
 
 
 class TestDefaultGrid:
@@ -28,8 +29,8 @@ class TestDefaultGrid:
         a = run_parity_harness(seed=7, **small)
         b = run_parity_harness(seed=7, **small)
         assert [c.target for c in a.cases] == [c.target for c in b.cases]
-        assert [c.fault_set for c in a.cases] == [
-            c.fault_set for c in b.cases
+        assert [c.fault for c in a.cases] == [
+            c.fault for c in b.cases
         ]
 
     def test_numpy_backend_also_passes(self):
@@ -40,7 +41,7 @@ class TestDefaultGrid:
             fault_sets_per_target=4,
             backend="numpy",
         )
-        assert report.backend == "numpy"
+        assert report.params["backend"] == "numpy"
         assert report.passed, report.describe()
 
 

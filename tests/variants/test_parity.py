@@ -6,12 +6,10 @@ import math
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.variants.parity import (
-    DEFAULT_FAULT_KINDS,
-    DEFAULT_PAIRS,
-    VariantParityCase,
-    run_variant_parity,
-)
+from repro.parity import VARIANT_PAIRS as DEFAULT_PAIRS
+from repro.parity import DEFAULT_FAULT_KINDS
+from repro.parity import ParityCase as VariantParityCase
+from repro.parity import run_variant_parity
 
 
 class TestHarness:
@@ -31,8 +29,8 @@ class TestHarness:
         a = run_variant_parity(pairs=[(3, 1)], targets_per_pair=4, seed=99)
         b = run_variant_parity(pairs=[(3, 1)], targets_per_pair=4, seed=99)
         assert [c.target for c in a.cases] == [c.target for c in b.cases]
-        assert [c.engine_time for c in a.cases] == [
-            c.engine_time for c in b.cases
+        assert [c.oracle_time for c in a.cases] == [
+            c.oracle_time for c in b.cases
         ]
 
     def test_every_default_fault_kind_covered(self):
