@@ -18,7 +18,9 @@ answers it for whole grids at once:
   through both the kernels and
   :class:`~repro.simulation.engine.SearchSimulation` and asserts
   agreement — the engine stays the oracle, batch is the fast path
-  (opt-in via ``method="batch"`` in the sweeps and campaigns).
+  (the default of ``target_sweep`` and ``CompetitiveRatioEstimator``,
+  which pin the ``pure`` backend; campaigns take it with
+  ``method="batch"``).
 
 Quickstart::
 

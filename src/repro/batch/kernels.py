@@ -156,12 +156,8 @@ def kth_smallest_per_column(
         raise InvalidParameterError("need at least one row")
     if k > len(rows):
         return [math.inf] * len(rows[0])
-    width = len(rows[0])
-    out = [math.inf] * width
-    for j in range(width):
-        column = sorted(row[j] for row in rows)
-        out[j] = column[k - 1]
-    return out
+    index = k - 1
+    return [sorted(column)[index] for column in zip(*rows)]
 
 
 def min_excluding_rows(

@@ -832,7 +832,7 @@ def _cmd_batch(args: argparse.Namespace):
     if args.batch_command == "sweep":
         from repro.robots import Fleet
         from repro.schedule import algorithm_for
-        from repro.simulation.sweep import geometric_grid, target_sweep
+        from repro.simulation.sweep import geometric_grid
 
         if args.points < 2:
             raise LineSearchError("--points must be >= 2")
@@ -840,17 +840,9 @@ def _cmd_batch(args: argparse.Namespace):
         fleet = Fleet.from_algorithm(algorithm)
         grid = geometric_grid(1.0, args.x_max, args.points)
         targets = grid + [-x for x in grid]
-        # Route through the sweep's batch path; backend override via a
-        # dedicated evaluator when requested.
-        if args.backend is None:
-            profile = target_sweep(
-                fleet, args.f, targets, method="batch"
-            )
-        else:
-            evaluator = BatchEvaluator(
-                fleet, fault_budget=args.f, backend=args.backend
-            )
-            profile = evaluator.ratio_profile(targets)
+        profile = BatchEvaluator(
+            fleet, fault_budget=args.f, backend=args.backend
+        ).ratio_profile(targets)
         worst = profile.supremum
         return "\n".join(
             [

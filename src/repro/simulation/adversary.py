@@ -57,11 +57,12 @@ class CompetitiveRatioEstimator:
             ``turn_horizon_factor * x_max`` — enough to see every turn at
             ``|position| <= x_max`` for any algorithm whose turn times
             grow at most linearly with position (all algorithms here).
-        method: ``"event"`` (default) evaluates each probe with the
-            per-target visit machinery; ``"batch"`` routes whole probe
-            sets through :class:`~repro.batch.evaluate.BatchEvaluator`
-            (same candidates, same results within
-            :mod:`repro.core.tolerance` bounds, one kernel pass).
+        method: ``"batch"`` (default) routes whole probe sets through
+            :class:`~repro.batch.evaluate.BatchEvaluator` on the
+            dependency-free ``pure`` backend (one kernel pass, results
+            bit-identical to the per-target engine); ``"event"``
+            evaluates each probe with the per-target visit machinery
+            (the oracle).
 
     Examples:
         >>> from repro.schedule import ProportionalAlgorithm
@@ -82,7 +83,7 @@ class CompetitiveRatioEstimator:
         x_max: float = 200.0,
         grid_points: int = 64,
         turn_horizon_factor: float = 8.0,
-        method: str = "event",
+        method: str = "batch",
     ) -> None:
         if fault_budget < 0:
             raise InvalidParameterError(
@@ -168,7 +169,7 @@ class CompetitiveRatioEstimator:
             from repro.batch import BatchEvaluator
 
             self._batch_evaluator = BatchEvaluator(
-                self.fleet, fault_budget=self.fault_budget
+                self.fleet, fault_budget=self.fault_budget, backend="pure"
             )
         return self._batch_evaluator
 

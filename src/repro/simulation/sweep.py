@@ -110,7 +110,7 @@ def target_sweep(
     fleet: Fleet,
     fault_budget: int,
     targets: Sequence[float],
-    method: str = "event",
+    method: Optional[str] = None,
     scheduler=None,
     seed: int = 0,
 ) -> RatioProfile:
@@ -120,11 +120,13 @@ def target_sweep(
         fleet: The robots under test.
         fault_budget: Worst-case fault count ``f``.
         targets: Target grid (any order).
-        method: ``"event"`` (default) computes each point with the
-            per-target visit machinery; ``"batch"`` routes the whole
-            grid through :class:`~repro.batch.evaluate.BatchEvaluator`
-            — same results within :mod:`repro.core.tolerance` bounds,
-            one kernel pass instead of ``len(targets)`` traversals.
+        method: ``"batch"`` routes the whole grid through
+            :class:`~repro.batch.evaluate.BatchEvaluator` on the
+            dependency-free ``pure`` backend: one kernel pass, results
+            bit-identical to the per-target engine.  ``"event"``
+            computes each point with the per-target visit machinery
+            (the oracle).  ``None`` (default) means ``"event"`` when a
+            ``scheduler`` is given and ``"batch"`` otherwise.
         scheduler: Optional activation scheduler (an
             :class:`~repro.async_sched.schedulers.ActivationScheduler`
             or a spec string like ``"event:adversarial:1.0"``): each
@@ -141,10 +143,8 @@ def target_sweep(
         >>> profile = target_sweep(fleet, 1, [1.0, 1.5, 2.0, 3.0])
         >>> len(profile.samples)
         4
-        >>> fast = target_sweep(fleet, 1, [1.0, 1.5, 2.0, 3.0], method="batch")
-        >>> [round(r, 9) for r in fast.ratios()] == [
-        ...     round(r, 9) for r in profile.ratios()
-        ... ]
+        >>> oracle = target_sweep(fleet, 1, [1.0, 1.5, 2.0, 3.0], method="event")
+        >>> profile.ratios() == oracle.ratios()
         True
         >>> slow = target_sweep(
         ...     fleet, 1, [1.0, 1.5, 2.0, 3.0],
@@ -155,6 +155,8 @@ def target_sweep(
     """
     if not targets:
         raise InvalidParameterError("targets must be non-empty")
+    if method is None:
+        method = "event" if scheduler is not None else "batch"
     if method not in ("event", "batch"):
         raise InvalidParameterError(
             f"method must be 'event' or 'batch', got {method!r}"
@@ -193,7 +195,9 @@ def target_sweep(
         elif method == "batch":
             from repro.batch import BatchEvaluator
 
-            evaluator = BatchEvaluator(fleet, fault_budget=fault_budget)
+            evaluator = BatchEvaluator(
+                fleet, fault_budget=fault_budget, backend="pure"
+            )
             times = evaluator.search_times(targets)
             samples = [
                 RatioSample(float(x), t) for x, t in zip(targets, times)

@@ -75,9 +75,7 @@ class TestTargetSweepBatchMethod:
         event = target_sweep(fleet_3_1, 1, targets, method="event")
         batch = target_sweep(fleet_3_1, 1, targets, method="batch")
         for a, b in zip(event.samples, batch.samples):
-            assert b.detection_time == pytest.approx(
-                a.detection_time, rel=1e-9
-            )
+            assert b.detection_time == a.detection_time
 
     def test_unknown_method_rejected(self, fleet_3_1):
         with pytest.raises(InvalidParameterError, match="method"):
