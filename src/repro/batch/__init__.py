@@ -14,13 +14,15 @@ answers it for whole grids at once:
   the ``scientific`` extra) — bit-for-bit identical by construction;
 * :mod:`repro.batch.evaluate` is the high-level entry point
   (:class:`BatchEvaluator`);
+* :mod:`repro.batch.cache` keeps compiled fleets keyed on fleet
+  structure, for the campaign route of :mod:`repro.robustness.plan`;
 * :func:`repro.parity.run_parity_harness` replays seeded grids
   through both the kernels and
   :class:`~repro.simulation.engine.SearchSimulation` and asserts
   agreement — the engine stays the oracle, batch is the fast path
-  (the default of ``target_sweep`` and ``CompetitiveRatioEstimator``,
-  which pin the ``pure`` backend; campaigns take it with
-  ``method="batch"``).
+  (the default of ``target_sweep``, ``CompetitiveRatioEstimator`` and
+  crash-fault campaigns run without the invariant audit, all on the
+  ``pure`` backend).
 
 Quickstart::
 

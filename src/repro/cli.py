@@ -292,11 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--seed", type=int, default=0,
                          help="master seed for the campaign")
     p_chaos.add_argument("--method", choices=("event", "batch"),
-                         default="event",
-                         help="scenario evaluation path; 'batch' uses "
-                              "the analytic kernels where the fault "
-                              "model allows (implies the invariant "
-                              "audit stays on the engine)")
+                         default=None,
+                         help="scenario evaluation path (default: the "
+                              "plan decides, taking the analytic "
+                              "kernels for crash faults with "
+                              "--no-invariants); 'event' forces the "
+                              "engines, 'batch' asks for the kernels "
+                              "and is refused where they cannot run")
     p_chaos.add_argument("--protocol", choices=("none", "confirmation"),
                          default="none",
                          help="termination protocol; 'confirmation' "

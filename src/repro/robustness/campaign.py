@@ -214,16 +214,19 @@ class Scenario:
     pair any spec with any factory — the spec is documentation and
     replay metadata, the factory is the truth.
 
-    ``method="batch"`` opts the scenario into the analytic fast path of
-    :mod:`repro.batch` where :func:`~repro.robustness.plan.plan_for`
-    allows it; everywhere else the scenario silently runs on the engine
-    the plan names, and the engines remain the oracle.
+    ``method=None`` (the default) lets
+    :func:`~repro.robustness.plan.plan_for` decide: a line, sync,
+    unprotected crash-fault scenario run without the invariant audit
+    takes the analytic fast path of :mod:`repro.batch`, everything else
+    the engine the plan names.  ``method="event"`` forces the engines,
+    which remain the oracle; ``method="batch"`` asks for the kernels and
+    is refused where the spec rules them out.
     """
 
     spec: ScenarioSpec
     build: Callable[[], Tuple[Fleet, FaultModel]]
     stochastic: bool = False
-    method: str = "event"
+    method: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -453,7 +456,9 @@ def _fault_model_for(spec: ScenarioSpec) -> Tuple[FaultModel, bool]:
     )
 
 
-def build_scenario(spec: ScenarioSpec, method: str = "event") -> Scenario:
+def build_scenario(
+    spec: ScenarioSpec, method: Optional[str] = None
+) -> Scenario:
     """Realize a declarative spec into an executable scenario.
 
     The spec is checked by :func:`~repro.robustness.plan.validate_spec`
@@ -469,9 +474,9 @@ def build_scenario(spec: ScenarioSpec, method: str = "event") -> Scenario:
     """
     from repro.variants import variant_for
 
-    if method not in ("event", "batch"):
+    if method not in (None, "event", "batch"):
         raise InvalidParameterError(
-            f"method must be 'event' or 'batch', got {method!r}"
+            f"method must be None, 'event' or 'batch', got {method!r}"
         )
     validate_spec(spec)
     _, stochastic = _fault_model_for(spec)
@@ -488,7 +493,7 @@ def chaos_scenarios(
     targets: Sequence[float],
     faults: Sequence[str] = FAULT_KINDS,
     seed: int = 0,
-    method: str = "event",
+    method: Optional[str] = None,
     protocol: str = "none",
     mode: str = "sync",
     variant: str = "line",
@@ -502,10 +507,10 @@ def chaos_scenarios(
     ``protocol``, ``mode`` and ``variant`` apply to every generated
     spec; the per-scenario seed also seeds a non-default ``mode``'s
     scheduler, so the whole campaign stays replayable from its spec.
-    Which engine runs each scenario — and whether ``method="batch"``
-    can take the analytic fast path — is decided by
-    :func:`~repro.robustness.plan.plan_for`; where the plan refuses
-    batch, the library silently uses the event engines.
+    Which engine runs each scenario is decided by
+    :func:`~repro.robustness.plan.plan_for` from ``method`` (see
+    :class:`Scenario`); where the plan refuses batch, the library
+    silently uses the event engines.
 
     Examples:
         >>> grid = chaos_scenarios([(3, 1)], [1.0, -2.0], ["none", "random"])

@@ -14,11 +14,14 @@ The plan table, first matching row wins::
     variant="halfline"         sync            yes (problem variant)
     otherwise                  batch or sync   no
 
-The last row takes ``batch`` only for ``method="batch"`` with the
-invariant audit off (the audit needs an event log), and falls back to
-``sync`` when the fault model is not a pure crash-detection model.  The
-library follows the table silently; the service and the CLI turn a
-batch refusal into ``bad_request`` / exit 2.
+The last row takes ``batch`` by default (``method=None``) and for
+``method="batch"`` when the invariant audit is off (the audit needs an
+event log); ``method="event"`` forces ``sync``, the engine that is the
+oracle.  At run time a ``batch`` plan still falls back to ``sync`` when
+the fault model is not a pure crash-detection model or the fleet has no
+structural key (:func:`repro.batch.cache.fleet_key`).  The library
+follows the table silently; the service and the CLI turn a batch
+refusal into ``bad_request`` / exit 2.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ import dataclasses
 import math
 from typing import Any, Optional, Tuple
 
+from repro.batch import cache
+from repro.batch.kernels import START_RTOL, first_visit_row
+from repro.core.tolerance import times_close
 from repro.errors import InvalidParameterError
 from repro.robots.faults import (
     AdversarialFaults,
@@ -36,6 +42,7 @@ from repro.robots.faults import (
 )
 from repro.robots.fleet import Fleet
 from repro.simulation.engine import SearchSimulation
+from repro.simulation.metrics import SearchOutcome
 
 __all__ = ["VARIANT_NAMES", "plan_for", "run_plan", "validate_spec"]
 
@@ -88,41 +95,44 @@ _BATCH_NEEDS = (
 
 
 def plan_for(
-    spec: Any, method: str = "event", check_invariants: bool = True
+    spec: Any, method: Optional[str] = None, check_invariants: bool = True
 ) -> Tuple[str, Optional[str]]:
     """``(engine, batch_refusal)`` for ``spec`` (see the module's table).
 
-    ``batch_refusal`` is set when ``method="batch"`` and the spec's
-    protocol, mode or variant rules the batch kernels out.
+    ``method`` is ``None`` (let the plan decide), ``"event"`` (force
+    the engines) or ``"batch"``.  ``batch_refusal`` is set when
+    ``method="batch"`` and the spec's protocol, mode or variant rules
+    the batch kernels out.
 
     Examples:
         >>> from repro.robustness.campaign import ScenarioSpec
-        >>> plan_for(ScenarioSpec(3, 1, 2.0), "batch", check_invariants=False)
+        >>> plan_for(ScenarioSpec(3, 1, 2.0), check_invariants=False)
         ('batch', None)
+        >>> plan_for(ScenarioSpec(3, 1, 2.0), "event", check_invariants=False)
+        ('sync', None)
         >>> spec = ScenarioSpec(5, 2, 2.0, protocol="confirmation")
         >>> plan_for(spec, "batch")
         ('confirmation', "method 'batch' cannot run confirmation-protocol ...")
     """
     refusal = None
-    if method == "batch":
-        for name, needed, what in _BATCH_NEEDS:
-            if getattr(spec, name) != needed:
-                refusal = (
-                    f"method 'batch' cannot run {what} scenarios; "
-                    f"use method 'event' for {name} != {needed!r}"
-                )
-                break
+    for name, needed, what in _BATCH_NEEDS:
+        if getattr(spec, name) != needed:
+            refusal = (
+                f"method 'batch' cannot run {what} scenarios; "
+                f"use method 'event' for {name} != {needed!r}"
+            )
+            break
     if spec.variant == "evacuation":
         engine = "evacuation"
     elif spec.protocol == "confirmation":
         engine = "confirmation"
     elif spec.mode != "sync":
         engine = "event"
-    elif method == "batch" and refusal is None and not check_invariants:
+    elif method != "event" and refusal is None and not check_invariants:
         engine = "batch"
     else:
         engine = "sync"
-    return engine, refusal
+    return engine, refusal if method == "batch" else None
 
 
 def _timelines(fleet: Fleet, spec: Any):
@@ -142,39 +152,56 @@ def _timelines(fleet: Fleet, spec: Any):
 
 
 def _batch_outcome(fleet: Fleet, model: FaultModel, target: float):
-    """Run one scenario through the batch kernels, or ``None`` when its
-    fault model is not expressible there.
+    """Run one scenario through the batch kernels, or ``None`` when the
+    engine must run it.
 
     Only the pure crash-detection models qualify (exact types — a
-    subclass may override semantics): the adversarial worst case maps to
-    ``T_{f+1}``, and fixed/random subsets map to a column min over the
-    reliable robots.  Behavioral models (crash-stop, Byzantine,
-    probabilistic) shape trajectories or detection draws in ways the
-    first-visit matrix does not capture, so they stay on the engine.
-    """
-    from repro.batch import BatchEvaluator
-    from repro.core.tolerance import times_close
-    from repro.simulation.metrics import SearchOutcome
+    subclass may override semantics).  Behavioral models (crash-stop,
+    Byzantine, probabilistic) shape trajectories or detection draws in
+    ways the first-visit matrix does not capture, so they stay on the
+    engine, as does a fleet without a structural key.
 
-    if type(model) is AdversarialFaults:
-        evaluator = BatchEvaluator(fleet, fault_budget=model.fault_budget)
-        detection_time = evaluator.search_times([target])[0]
-        faulty = frozenset(model.assign(fleet, target))
-    elif type(model) in (FixedFaults, RandomFaults):
-        faulty = frozenset(model.assign(fleet, target))
-        evaluator = BatchEvaluator(fleet, fault_budget=model.fault_budget)
-        detection_time = evaluator.detection_times([target], faulty)[0]
-    else:
+    The scenario is one column of the first-visit matrix: one
+    ``first_visit_row`` per robot of the cached compiled fleet
+    (:data:`repro.batch.cache.FLEET_CACHE`).  The adversary corrupts
+    the first ``f`` visitors by ``(time, index)`` — exactly
+    ``visiting_order`` — so detection is ``T_{f+1}``; a fixed or random
+    fault set is a minimum over the reliable robots.  The detecting
+    robot is chosen by the engine's rule.  Targets the engine refuses,
+    or places at the start by its tolerance, are left to it.
+    """
+    kind = type(model)
+    if (
+        kind not in (AdversarialFaults, FixedFaults, RandomFaults)
+        or not isinstance(fleet, Fleet)
+        or not math.isfinite(target)
+        or abs(target) <= START_RTOL * (1.0 + abs(target))
+        or model.fault_budget > fleet.size
+    ):
         return None
-    detecting = None
-    if math.isfinite(detection_time):
-        for robot in fleet:
-            if robot.index in faulty:
-                continue
-            t = robot.trajectory.first_visit_time(target)
-            if t is not None and times_close(t, detection_time):
-                detecting = robot.index
-                break
+    target = float(target)
+    trajectories = fleet.trajectories
+    key = cache.fleet_key(trajectories)
+    if key is None:
+        return None
+    compiled = cache.FLEET_CACHE.compiled(key, trajectories, abs(target))
+    visits = [
+        (i, t)
+        for i, t in enumerate(
+            first_visit_row(c, (target,))[0] for c in compiled.trajectories
+        )
+        if t != math.inf
+    ]
+    if kind is AdversarialFaults:
+        visitors = sorted((t, i) for i, t in visits)
+        faulty = frozenset(i for _, i in visitors[: model.fault_budget])
+    else:
+        faulty = frozenset(model.assign(fleet, target))
+    reliable = [(i, t) for i, t in visits if i not in faulty]
+    detection_time = min((t for _, t in reliable), default=math.inf)
+    detecting = next(
+        (i for i, t in reliable if times_close(t, detection_time)), None
+    )
     return SearchOutcome(
         target=target,
         detection_time=detection_time,

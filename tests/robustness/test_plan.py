@@ -1,14 +1,37 @@
 """The execution plan: one validator and one engine table for every caller."""
 
 import itertools
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
+import repro
+from repro.batch import cache
 from repro.cli import main
+from repro.core import SearchParameters
 from repro.errors import InvalidParameterError
-from repro.robustness import ScenarioSpec, chaos_scenarios, plan, run_campaign
+from repro.geometry.cone import Cone
+from repro.robots import AdversarialFaults, FixedFaults
+from repro.robots.fleet import Fleet
+from repro.robustness import (
+    Scenario,
+    ScenarioSpec,
+    chaos_scenarios,
+    plan,
+    run_campaign,
+)
 from repro.robustness.plan import plan_for, validate_spec
+from repro.schedule import algorithm_for
 from repro.service.protocol import ServiceError, parse_submission
+from repro.simulation.engine import SearchSimulation
+from repro.trajectory import (
+    ConeZigZag,
+    DoublingTrajectory,
+    LinearTrajectory,
+)
 
 VARIANTS = ("line", "halfline", "evacuation")
 PROTOCOLS = ("none", "confirmation")
@@ -39,6 +62,22 @@ class TestPlanTable:
         spec = ScenarioSpec(3, 1, 2.0)
         assert plan_for(spec, "batch", check_invariants=True) == ("sync", None)
         assert plan_for(spec, "event", check_invariants=False) == ("sync", None)
+
+    @pytest.mark.parametrize(
+        "fields, engine",
+        [
+            ({"variant": "evacuation"}, "evacuation"),
+            ({"protocol": "confirmation"}, "confirmation"),
+            ({"mode": "event:async:0.5"}, "event"),
+            ({"variant": "halfline"}, "sync"),
+            ({}, "batch"),
+        ],
+    )
+    def test_default_method_picks_batch_without_refusing(self, fields, engine):
+        spec = ScenarioSpec(5, 2, 3.0, "none", 1, **fields)
+        assert plan_for(spec, check_invariants=False) == (engine, None)
+        audited = "sync" if engine == "batch" else engine
+        assert plan_for(spec) == (audited, None)
 
     def test_event_method_is_never_refused(self):
         for variant, protocol, mode in itertools.product(
@@ -123,18 +162,24 @@ BATCH_TARGETS = [(-1.0) ** k * 1.9 ** k for k in range(22)]
 BATCH_FAULTS = ["none", "adversarial", "fixed", "random"]
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2016])
-@pytest.mark.parametrize("variant", ["line", "halfline"])
-def test_batch_campaign_report_is_byte_identical(monkeypatch, seed, variant):
-    kernel_runs = []
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """Whether each ``_batch_outcome`` call took the kernels."""
+    runs = []
     batch_outcome = plan._batch_outcome
 
     def counted(*args):
         outcome = batch_outcome(*args)
-        kernel_runs.append(outcome is not None)
+        runs.append(outcome is not None)
         return outcome
 
     monkeypatch.setattr(plan, "_batch_outcome", counted)
+    return runs
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2016])
+@pytest.mark.parametrize("variant", ["line", "halfline"])
+def test_batch_campaign_report_is_byte_identical(kernel_runs, seed, variant):
     reports = {
         method: run_campaign(
             chaos_scenarios(
@@ -149,3 +194,251 @@ def test_batch_campaign_report_is_byte_identical(monkeypatch, seed, variant):
     # the line grid really took the kernels; the ray never does
     expected = len(BATCH_PAIRS) * len(BATCH_TARGETS) * len(BATCH_FAULTS)
     assert kernel_runs == ([True] * expected if variant == "line" else [])
+
+
+# ----------------------------------------------------------------------
+# the default route: batch kernels over the cached compiled fleets
+# ----------------------------------------------------------------------
+
+#: Exact turning points (the first and third turn of every robot) of the
+#: proportional fleets of ``BATCH_PAIRS``; after ``BATCH_TARGETS``, whose
+#: ``|x|`` grows, they are read from grown windows.
+TURN_TARGETS = sorted(
+    {
+        robot.turning_position(i)
+        for n, f in BATCH_PAIRS
+        if SearchParameters(n, f).is_proportional
+        for robot in algorithm_for(n, f).build()
+        for i in (0, 2)
+    }
+)
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty fleet cache, counting its compilations."""
+    fresh = cache.CompiledFleetCache()
+    compiles = []
+    compile_fleet = cache.compile_fleet
+
+    def counted(*args, **kwargs):
+        compiles.append(args[1:])
+        return compile_fleet(*args, **kwargs)
+
+    monkeypatch.setattr(cache, "FLEET_CACHE", fresh)
+    monkeypatch.setattr(cache, "compile_fleet", counted)
+    fresh.compiles = compiles
+    return fresh
+
+
+def _report(scenarios):
+    return run_campaign(scenarios, check_invariants=False).to_json()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2016])
+def test_default_campaign_report_is_byte_identical(
+    fresh_cache, kernel_runs, seed
+):
+    targets = BATCH_TARGETS + TURN_TARGETS
+
+    def grid(**method):
+        return chaos_scenarios(
+            BATCH_PAIRS, targets, BATCH_FAULTS, seed=seed, **method
+        )
+
+    event = _report(grid(method="event"))
+    assert kernel_runs == []
+    assert _report(grid()) == event
+    assert kernel_runs == [True] * (
+        len(BATCH_PAIRS) * len(targets) * len(BATCH_FAULTS)
+    )
+    # one cache entry per fleet, each window grown as |x| grew
+    assert len(fresh_cache) == len(BATCH_PAIRS)
+    assert len(BATCH_PAIRS) < len(fresh_cache.compiles) <= 30 * len(BATCH_PAIRS)
+
+
+def _custom(n, f, target, build, method=None):
+    spec = ScenarioSpec(n, f, target, "adversarial")
+    return Scenario(spec=spec, build=build, method=method)
+
+
+def test_cache_key_comes_from_the_fleet_not_the_spec(fresh_cache, kernel_runs):
+    def five_two():
+        return Fleet.from_algorithm(algorithm_for(5, 2)), AdversarialFaults(2)
+
+    def grid(**method):
+        # genuine (3,1) scenarios first, so a spec-keyed cache would
+        # answer the mislabelled ones from the (3,1) fleet
+        genuine = chaos_scenarios([(3, 1)], BATCH_TARGETS, ["adversarial"],
+                                  **method)
+        return genuine + [
+            _custom(3, 1, x, five_two, **method)
+            for x in BATCH_TARGETS + TURN_TARGETS
+        ]
+
+    assert _report(grid()) == _report(grid(method="event"))
+    assert all(kernel_runs) and len(kernel_runs) > len(BATCH_TARGETS)
+    assert len(fresh_cache) == 2
+
+
+def test_unkeyed_fleet_runs_on_the_engine(monkeypatch, fresh_cache):
+    runs = []
+    run = SearchSimulation.run
+
+    def counted(self, *args, **kwargs):
+        runs.append(self.target)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(SearchSimulation, "run", counted)
+
+    def unkeyed():
+        trajectories = [DoublingTrajectory(), LinearTrajectory(1)]
+        return Fleet.from_trajectories(trajectories), FixedFaults([1])
+
+    scenarios = [_custom(2, 1, x, unkeyed) for x in (1.0, -3.0)]
+    report = run_campaign(scenarios, check_invariants=False)
+    assert report.failed == 0
+    assert runs == [1.0, -3.0]
+    assert len(fresh_cache) == 0
+
+
+@pytest.mark.parametrize(
+    "target, model",
+    [
+        (2.0, AdversarialFaults(3)),     # budget above the fleet size
+        (2.0, FixedFaults([5])),         # fault index out of range
+        (0.0, AdversarialFaults(0)),     # the engine refuses the origin
+        (-1e-12, FixedFaults([1])),      # visited at the start instant
+    ],
+)
+def test_edge_scenarios_report_what_the_engine_reports(target, model):
+    def build():
+        trajectories = [LinearTrajectory(1), LinearTrajectory(-1)]
+        return Fleet.from_trajectories(trajectories), model
+
+    reports = [
+        _report([_custom(2, 1, target, build, method=method)])
+        for method in (None, "event")
+    ]
+    assert reports[0] == reports[1]
+
+
+def test_concurrent_campaigns_match_the_serial_report(fresh_cache):
+    def grid(**method):
+        return chaos_scenarios(BATCH_PAIRS, BATCH_TARGETS, BATCH_FAULTS,
+                               seed=2016, **method)
+
+    serial = _report(grid(method="event"))
+    start = threading.Barrier(4)
+    reports = []
+
+    def worker():
+        scenarios = grid()
+        start.wait()
+        reports.append(_report(scenarios))
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert reports == [serial] * 4
+    assert len(fresh_cache) == len(BATCH_PAIRS)
+
+
+def test_cache_holds_at_most_its_bound(fresh_cache, kernel_runs):
+    # every robot of fleet k runs at its own speed: all keys distinct
+    speeds = [1.0 / (k + 1) for k in range(cache.CACHE_SIZE + 8)]
+
+    def scenario(speed):
+        def build():
+            trajectories = [LinearTrajectory(1, speed), LinearTrajectory(-1)]
+            return Fleet.from_trajectories(trajectories), AdversarialFaults(0)
+
+        return _custom(2, 0, 3.0, build)
+
+    sizes = []
+    for speed in speeds:
+        run_campaign([scenario(speed)], check_invariants=False)
+        sizes.append(len(fresh_cache))
+    assert all(kernel_runs) and len(kernel_runs) == len(speeds)
+    assert max(sizes) == cache.CACHE_SIZE == sizes[-1]
+    # the evicted fleets recompile, and still agree with the engine
+    first = scenario(speeds[0])
+    assert _report([first]) == _report(
+        [_custom(2, 0, 3.0, first.build, method="event")]
+    )
+
+
+def test_cache_key_is_exact_structure():
+    cone = Cone(3.0)
+    assert cache.fleet_key([ConeZigZag(cone, 1.0)]) == cache.fleet_key(
+        [ConeZigZag(Cone(3.0), 1.0)]
+    )
+    distinct = [
+        [ConeZigZag(cone, 1.0)],
+        [ConeZigZag(cone, -1.0)],
+        [ConeZigZag(Cone(4.0), 1.0)],
+        [ConeZigZag(cone, 1.0, inner_radius=2.0)],
+        [LinearTrajectory(1)],
+        [LinearTrajectory(-1)],
+        [LinearTrajectory(1, speed=0.5)],
+        [LinearTrajectory(1, start_time=1.0)],
+        [LinearTrajectory(1), LinearTrajectory(1)],
+    ]
+    keys = [cache.fleet_key(fleet) for fleet in distinct]
+    assert len(set(keys)) == len(keys)
+
+    class Slower(LinearTrajectory):
+        pass
+
+    assert cache.fleet_key([LinearTrajectory(1), Slower(1)]) is None
+
+
+def test_cli_default_matches_the_event_method(tmp_path, capsys):
+    outputs = []
+    for method in ([], ["--method", "event"]):
+        path = tmp_path / f"report{len(outputs)}.json"
+        code = main(
+            [
+                "chaos", "--pairs", "3,1", "4,2", "6,2", "--targets", "1.0",
+                "-2.5", "7.0", "--faults", "none", "adversarial", "fixed",
+                "random", "crash_stop:2.0", "--seed", "7", "--no-invariants",
+                "--report-json", str(path),
+            ]
+            + method
+        )
+        stdout = capsys.readouterr().out.replace(str(path), "REPORT")
+        outputs.append((code, stdout, path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
+@pytest.mark.parametrize("method", [None, "batch"])
+def test_batch_route_does_not_import_numpy(method):
+    pytest.importorskip("numpy")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    script = (
+        "import sys\n"
+        "from repro.robustness import chaos_scenarios, run_campaign\n"
+        "report = run_campaign(\n"
+        "    chaos_scenarios([(3, 1), (4, 1)], [1.0, -2.0, 5.0],\n"
+        "                    ['none', 'adversarial', 'fixed', 'random'],\n"
+        f"                    method={method!r}),\n"
+        "    check_invariants=False,\n"
+        ")\n"
+        "assert report.failed == 0, report.describe()\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode == 0, result.stderr
