@@ -1,9 +1,8 @@
-"""Batch-evaluation throughput: engine loop vs pure kernels vs numpy.
+"""Batch-evaluation throughput: engine loop vs the batch kernels.
 
-Times the same 10 000-target ``target_sweep`` three ways — the
-per-target event-engine loop, the dependency-free batch kernels, and
-the numpy backend when installed — and writes the targets/sec numbers
-to ``BENCH_batch.json``.  The assertion is the acceptance bar of the
+Times the same 10 000-target ``target_sweep`` two ways — the per-target
+event-engine loop and the dependency-free batch kernels — and writes
+the targets/sec numbers to ``BENCH_batch.json``.  The assertion is the acceptance bar of the
 batch subsystem: the pure kernels must clear the engine loop by at
 least 5x.
 
@@ -21,7 +20,7 @@ import math
 import os
 import time
 
-from repro.batch import BatchEvaluator, available_backends
+from repro.batch import BatchEvaluator
 from repro.robots import Fleet
 from repro.schedule import ProportionalAlgorithm
 from repro.simulation.sweep import geometric_grid, target_sweep
@@ -51,7 +50,7 @@ def time_call(fn, repeats=3):
 
 
 def run_benchmark(count=TARGET_COUNT, repeats=3):
-    """Time all available paths over one grid; return the report dict."""
+    """Time both paths over one grid; return the report dict."""
     fleet = Fleet.from_algorithm(ProportionalAlgorithm(3, 1))
     targets = make_grid(count)
 
@@ -60,21 +59,19 @@ def run_benchmark(count=TARGET_COUNT, repeats=3):
         lambda: target_sweep(fleet, 1, targets, method="event"), repeats
     )
 
-    # One evaluator per backend, compiled outside the timed region: the
-    # steady-state cost of a sweep, not the one-off compile.
-    for name in available_backends():
-        evaluator = BatchEvaluator(fleet, fault_budget=1, backend=name)
-        evaluator.search_times(targets[:2])
-        timings[f"{name}_batch"] = time_call(
-            lambda ev=evaluator: ev.search_times(targets), repeats
-        )
+    # Compiled outside the timed region: the steady-state cost of a
+    # sweep, not the one-off compile.
+    evaluator = BatchEvaluator(fleet, fault_budget=1)
+    evaluator.search_times(targets[:2])
+    timings["pure_batch"] = time_call(
+        lambda: evaluator.search_times(targets), repeats
+    )
 
     report = {
         "format": "linesearch-bench-batch",
         "version": 1,
         "targets": len(targets),
         "repeats": repeats,
-        "backends": list(available_backends()),
         "seconds": timings,
         "targets_per_second": {
             k: len(targets) / v for k, v in timings.items()

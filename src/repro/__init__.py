@@ -50,11 +50,7 @@ from repro.async_sched import (
     run_degradation_sweep,
     scheduler_from_spec,
 )
-from repro.batch import (
-    BatchEvaluator,
-    available_backends,
-    compile_trajectory,
-)
+from repro.batch import BatchEvaluator, compile_trajectory
 from repro.baselines import (
     DelayedGroupDoubling,
     GroupDoubling,
@@ -265,7 +261,6 @@ __all__ = [
     "__version__",
     "algorithm_competitive_ratio",
     "asymptotic_cr",
-    "available_backends",
     "byzantine_confirmation_bound",
     "byzantine_quorum",
     "chaos_scenarios",

@@ -7,22 +7,21 @@ answers it for whole grids at once:
 
 * :mod:`repro.batch.compile` flattens lazy trajectories into plain
   segment arrays (:func:`compile_trajectory`, :func:`compile_fleet`);
-* :mod:`repro.batch.kernels` holds the dependency-free reference
-  kernels (envelope first-visit sweep, column order statistics);
-* :mod:`repro.batch.backend` dispatches between the pure-Python
-  backend (always available) and the numpy backend (auto-selected with
-  the ``scientific`` extra) — bit-for-bit identical by construction;
-* :mod:`repro.batch.evaluate` is the high-level entry point
-  (:class:`BatchEvaluator`);
+* :mod:`repro.batch.kernels` holds the dependency-free kernels
+  (envelope first-visit sweep, column order statistics) — the only
+  batch backend;
 * :mod:`repro.batch.cache` keeps compiled fleets keyed on fleet
-  structure, for the campaign route of :mod:`repro.robustness.plan`;
+  structure (:data:`~repro.batch.cache.FLEET_CACHE`), shared by both
+  front ends below;
+* :mod:`repro.batch.evaluate` is the high-level entry point
+  (:class:`BatchEvaluator`); the campaign route of
+  :mod:`repro.robustness.plan` is the other reader of the cache;
 * :func:`repro.parity.run_parity_harness` replays seeded grids
   through both the kernels and
   :class:`~repro.simulation.engine.SearchSimulation` and asserts
   agreement — the engine stays the oracle, batch is the fast path
   (the default of ``target_sweep``, ``CompetitiveRatioEstimator`` and
-  crash-fault campaigns run without the invariant audit, all on the
-  ``pure`` backend).
+  crash-fault campaigns run without the invariant audit).
 
 Quickstart::
 
@@ -34,13 +33,6 @@ Quickstart::
     profile = evaluator.ratio_profile([1.0, -2.5, 4.0])
 """
 
-from repro.batch.backend import (
-    BatchBackend,
-    NumpyBackend,
-    PureBackend,
-    available_backends,
-    get_backend,
-)
 from repro.batch.compile import (
     CompiledFleet,
     CompiledTrajectory,
@@ -50,14 +42,9 @@ from repro.batch.compile import (
 from repro.batch.evaluate import BatchEvaluator
 
 __all__ = [
-    "BatchBackend",
     "BatchEvaluator",
     "CompiledFleet",
     "CompiledTrajectory",
-    "NumpyBackend",
-    "PureBackend",
-    "available_backends",
     "compile_fleet",
     "compile_trajectory",
-    "get_backend",
 ]

@@ -1,10 +1,13 @@
 """A process-wide cache of compiled fleets, keyed on fleet structure.
 
 A crash-fault campaign realizes the same fleet for every target and
-fault spec of a pair, yet each scenario builds fresh trajectories.  The
-batch route of :mod:`repro.robustness.plan` therefore reads per-robot
-first-visit times from a :class:`~repro.batch.compile.CompiledFleet`
-shared by every scenario whose fleet has the same *structure*.
+fault spec of a pair, yet each scenario builds fresh trajectories, and
+a ratio sweep or estimate builds its own evaluator per call.  Both batch
+front ends — the campaign route of :mod:`repro.robustness.plan` and
+:class:`~repro.batch.evaluate.BatchEvaluator` — therefore read
+per-robot first-visit times from a
+:class:`~repro.batch.compile.CompiledFleet` shared by every caller whose
+fleet has the same *structure*.
 
 The key is taken from the fleet, never from a spec: the exact
 trajectory type plus the constructor arguments that fully determine its
@@ -16,7 +19,8 @@ vertices.  Only two types have one —
   the speed and the start time.
 
 Any other trajectory (or a subclass, which may override its vertices)
-has no key, and its fleet is not cached.
+has no key, and its fleet is not shared: a ``BatchEvaluator`` keeps it
+in a private :class:`CompiledFleetCache`.
 
 Entries are immutable plain data, so concurrent campaigns (the
 service's worker threads) share them safely; a miss compiles the
@@ -98,6 +102,11 @@ class CompiledFleetCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def get(self, key: Hashable) -> Optional[CompiledFleet]:
+        """The fleet keyed ``key`` as compiled so far, or ``None``."""
+        with self._lock:
+            return self._entries.get(key)
+
     def compiled(
         self, key: Hashable, trajectories: Sequence[Trajectory], radius: float
     ) -> CompiledFleet:
@@ -131,5 +140,5 @@ class CompiledFleetCache:
         return compiled
 
 
-#: The cache the campaign batch route reads.
+#: The cache every batch front end reads for keyed fleets.
 FLEET_CACHE = CompiledFleetCache()

@@ -6,7 +6,7 @@ target at a time, walking a lazily materialized chain of
 evaluation needs the same information for *thousands* of targets at
 once, so this module flattens a trajectory's space-time polyline into
 four parallel float arrays — ``x0, t0, x1, t1`` per constant-velocity
-leg, in time order — that array kernels (pure Python or numpy) can scan
+leg, in time order — that the array kernels can scan
 without touching a single Python object per query.
 
 Compilation is coverage-driven: given a target window ``[x_lo, x_hi]``,
@@ -15,7 +15,7 @@ every point of the window the trajectory ever reaches (``covers`` is
 consulted, and an analytic bisection bounds the reachable extreme when
 the window is only partially coverable), the path ends, or the segment
 budget is exhausted.  The resulting :class:`CompiledTrajectory` is plain
-data: it can be handed to any backend, cached, or shipped across
+data: it can be handed to the kernels, cached, or shipped across
 processes.
 """
 
@@ -110,7 +110,7 @@ class CompiledTrajectory:
         relative start check, then the first segment covering ``x``
         within ``SEG_EPS`` with the crossing fraction clamped into the
         segment.  This is the semantic ground truth the array kernels
-        must match; tests compare both backends against it.
+        must match; the kernel tests compare against it.
         """
         if abs(x - self.start_position) <= START_RTOL * (1.0 + abs(x)):
             return self.start_time

@@ -2,10 +2,12 @@
 
 :class:`BatchEvaluator` is the analytic counterpart of running one
 :class:`~repro.simulation.engine.SearchSimulation` per target.  It
-compiles the fleet's trajectories once per coverage window (cached and
-extended on demand), evaluates per-robot first-visit times for an
-entire grid with an array kernel, and derives from that matrix exactly
-the quantities the per-target paths compute:
+reads the fleet's compiled segments from a
+:class:`~repro.batch.cache.CompiledFleetCache` (the shared
+:data:`~repro.batch.cache.FLEET_CACHE` when the fleet has a structural
+key), evaluates per-robot first-visit times for an entire grid with the
+kernels of :mod:`repro.batch.kernels`, and derives from those rows
+exactly the quantities the per-target paths compute:
 
 * :meth:`BatchEvaluator.search_times` — worst-case ``T_{f+1}(x)`` per
   target (the adversary corrupts the first ``f`` visitors);
@@ -23,13 +25,15 @@ engine agreement within :mod:`repro.core.tolerance` bounds.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Set, Union
+from typing import Iterable, List, Optional, Sequence, Set
 
-from repro.batch.backend import BatchBackend, get_backend
-from repro.batch.compile import (
-    DEFAULT_MAX_SEGMENTS,
-    CompiledFleet,
-    compile_fleet,
+from repro.batch import cache
+# Unused here; kept so benchmarks/e2e/shim.py can patch this name.
+from repro.batch.compile import compile_fleet  # noqa: F401
+from repro.batch.kernels import (
+    first_visit_row,
+    kth_smallest_per_column,
+    min_excluding_rows,
 )
 from repro.errors import InvalidParameterError
 from repro.observability import instrument as obs
@@ -61,7 +65,6 @@ class BatchEvaluator:
             a faulty robot traverses but never detects).
         fault_budget: Default worst-case fault count ``f`` used by
             :meth:`search_times` and the ratio methods.
-        backend: The kernel backend in use (resolved at construction).
 
     Args:
         source: A :class:`~repro.robots.fleet.Fleet`, a
@@ -69,11 +72,8 @@ class BatchEvaluator:
             iterable of trajectories.
         fault_budget: Defaults to the algorithm's own ``f`` when
             ``source`` is an algorithm; otherwise required.
-        backend: ``"pure"``, ``"numpy"``, a
-            :class:`~repro.batch.backend.BatchBackend` instance, or
-            ``None`` to auto-select (numpy when installed).
-        max_segments: Per-trajectory compile budget, forwarded to
-            :func:`~repro.batch.compile.compile_trajectory`.
+        backend: ``None`` or ``"pure"``, the only kernels; any other
+            name raises :class:`~repro.errors.InvalidParameterError`.
 
     Examples:
         >>> from repro.schedule import ProportionalAlgorithm
@@ -89,9 +89,13 @@ class BatchEvaluator:
         self,
         source,
         fault_budget: Optional[int] = None,
-        backend: Union[BatchBackend, str, None] = None,
-        max_segments: int = DEFAULT_MAX_SEGMENTS,
+        backend: Optional[str] = None,
     ) -> None:
+        if backend not in (None, "pure"):
+            raise InvalidParameterError(
+                f"batch backend {backend!r} was removed; the pure kernels "
+                "are the only batch path (pass backend=None or 'pure')"
+            )
         fleet, budget = _resolve_fleet(source, fault_budget)
         if budget is None:
             raise InvalidParameterError(
@@ -103,43 +107,21 @@ class BatchEvaluator:
             )
         self.fleet = fleet
         self.fault_budget = int(budget)
-        self.backend = (
-            backend if isinstance(backend, BatchBackend) else get_backend(backend)
+        self._key = cache.fleet_key(fleet.trajectories)
+        # A fleet without a structural key cannot share compiled
+        # segments, so it keeps them in a cache of its own.
+        self._cache = (
+            cache.FLEET_CACHE if self._key is not None
+            else cache.CompiledFleetCache()
         )
-        self.max_segments = max_segments
-        self._compiled: Optional[CompiledFleet] = None
-
-    # ------------------------------------------------------------------
-    # compilation cache
-    # ------------------------------------------------------------------
-
-    def _compiled_for(self, targets: Sequence[float]) -> CompiledFleet:
-        """The cached compiled fleet, extended to cover ``targets``."""
-        lo = min(min(targets), 0.0)
-        hi = max(max(targets), 0.0)
-        cached = self._compiled
-        if cached is not None and cached.window_lo <= lo and hi <= cached.window_hi:
-            return cached
-        if cached is not None:
-            lo = min(lo, cached.window_lo)
-            hi = max(hi, cached.window_hi)
-        with obs.span(
-            "batch.compile", n=self.fleet.size, window_lo=lo, window_hi=hi
-        ) as sp:
-            compiled = compile_fleet(
-                self.fleet.trajectories, lo, hi, max_segments=self.max_segments
-            )
-            sp.set(segments=compiled.segment_count)
-        obs.count("batch_compiles_total")
-        self._compiled = compiled
-        return compiled
 
     # ------------------------------------------------------------------
     # grid evaluation
     # ------------------------------------------------------------------
 
-    def _matrix(self, targets: Sequence[float]):
-        """Backend visit matrix plus the sort permutation of ``targets``."""
+    def _rows(self, targets: Sequence[float]):
+        """Per-robot first-visit rows over the sorted ``targets``, plus
+        the sort permutation."""
         xs = [float(x) for x in targets]
         if not xs:
             raise InvalidParameterError("targets must be non-empty")
@@ -150,9 +132,12 @@ class BatchEvaluator:
                 )
         order = sorted(range(len(xs)), key=xs.__getitem__)
         xs_sorted = [xs[i] for i in order]
-        compiled = self._compiled_for(xs_sorted)
-        matrix = self.backend.first_visit_matrix(compiled, xs_sorted)
-        return matrix, order
+        radius = max(-xs_sorted[0], xs_sorted[-1], 0.0)
+        compiled = self._cache.compiled(
+            self._key, self.fleet.trajectories, radius
+        )
+        rows = [first_visit_row(c, xs_sorted) for c in compiled.trajectories]
+        return rows, order
 
     @staticmethod
     def _unsorted(row: List[float], order: List[int]) -> List[float]:
@@ -187,13 +172,10 @@ class BatchEvaluator:
                 f"fault budget must be >= 0, got {budget}"
             )
         with obs.span(
-            "batch.evaluate",
-            points=len(targets),
-            backend=self.backend.name,
-            kind="search_times",
+            "batch.evaluate", points=len(targets), kind="search_times"
         ):
-            matrix, order = self._matrix(targets)
-            row = self.backend.kth_smallest(matrix, budget + 1)
+            rows, order = self._rows(targets)
+            row = kth_smallest_per_column(rows, budget + 1)
         obs.count("batch_points_total", len(targets))
         return self._unsorted(row, order)
 
@@ -223,13 +205,10 @@ class BatchEvaluator:
                 f"fault indices out of range: {sorted(out_of_range)}"
             )
         with obs.span(
-            "batch.evaluate",
-            points=len(targets),
-            backend=self.backend.name,
-            kind="detection_times",
+            "batch.evaluate", points=len(targets), kind="detection_times"
         ):
-            matrix, order = self._matrix(targets)
-            row = self.backend.min_excluding(matrix, excluded)
+            rows, order = self._rows(targets)
+            row = min_excluding_rows(rows, excluded)
         obs.count("batch_points_total", len(targets))
         return self._unsorted(row, order)
 
@@ -305,9 +284,9 @@ class BatchEvaluator:
 
     def describe(self) -> str:
         """One-line summary."""
-        compiled = self._compiled
-        cache = compiled.describe() if compiled is not None else "not compiled"
+        compiled = self._cache.get(self._key)
+        window = compiled.describe() if compiled is not None else "not compiled"
         return (
             f"BatchEvaluator(n={self.fleet.size}, f={self.fault_budget}, "
-            f"backend={self.backend.name}, {cache})"
+            f"{window})"
         )

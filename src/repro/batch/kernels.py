@@ -1,9 +1,8 @@
 """Dependency-free array kernels over compiled segment arrays.
 
-The pure-Python kernels here are the reference implementation of batch
-visit-time evaluation; the numpy backend re-expresses the *same*
-selection rule and the *same* crossing arithmetic with array primitives,
-so the two are bit-for-bit identical on every input.
+The pure-Python kernels here are the one implementation of batch
+visit-time evaluation, shared by :class:`~repro.batch.evaluate.BatchEvaluator`
+and the campaign route of :mod:`repro.robustness.plan`.
 
 The first-visit kernel exploits the geometry of a continuous path: the
 set of positions swept by any prefix of the path is a contiguous
@@ -33,8 +32,7 @@ The crossing time inside a segment is always computed as
 
 — division first, in this exact operand order — which is the same
 expression (and the same rounding) as
-:meth:`repro.geometry.segment.MotionSegment.visit_time` and as the numpy
-backend's vectorized form.
+:meth:`repro.geometry.segment.MotionSegment.visit_time`.
 """
 
 from __future__ import annotations

@@ -13,9 +13,8 @@ Subcommands:
 * ``validate`` — admissibility check for a configuration;
 * ``experiment`` — run any experiment from the registry by id;
 * ``export`` — write experiment data as CSV;
-* ``batch`` — the batch evaluation subsystem: ``batch backends``
-  lists the kernel backends usable here, ``batch ratio`` measures a
-  competitive ratio through the vectorized kernels, ``batch sweep``
+* ``batch`` — the batch evaluation subsystem: ``batch ratio``
+  measures a competitive ratio through the batch kernels, ``batch sweep``
   evaluates a ratio profile over a geometric target grid, and
   ``batch parity`` replays a seeded grid through both the kernels and
   the event engine, gating (exit 1) on any disagreement;
@@ -168,18 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch_sub = p_batch.add_subparsers(dest="batch_command", required=True)
 
-    batch_sub.add_parser(
-        "backends", help="list the kernel backends usable here"
-    )
-
     pb_ratio = batch_sub.add_parser(
         "ratio", help="competitive ratio through the batch kernels"
     )
     pb_ratio.add_argument("n", type=int)
     pb_ratio.add_argument("f", type=int)
-    pb_ratio.add_argument("--backend", choices=("pure", "numpy"),
-                          default=None,
-                          help="kernel backend (default: auto-select)")
     pb_ratio.add_argument("--x-max", type=float, default=200.0)
 
     pb_sweep = batch_sub.add_parser(
@@ -190,9 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb_sweep.add_argument("--points", type=int, default=10000,
                           help="targets per sign (default: 10000)")
     pb_sweep.add_argument("--x-max", type=float, default=100.0)
-    pb_sweep.add_argument("--backend", choices=("pure", "numpy"),
-                          default=None,
-                          help="kernel backend (default: auto-select)")
 
     pb_parity = batch_sub.add_parser(
         "parity", help="replay a seeded grid through batch AND the engine"
@@ -207,9 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="fault assignments per target (default: 5)")
     pb_parity.add_argument("--seed", type=int, default=2016)
     pb_parity.add_argument("--x-max", type=float, default=32.0)
-    pb_parity.add_argument("--backend", choices=("pure", "numpy"),
-                           default=None,
-                           help="kernel backend (default: auto-select)")
     pb_parity.add_argument("--report-json", type=str, default=None,
                            metavar="PATH",
                            help="write the full parity report as JSON")
@@ -803,28 +789,15 @@ def _emit_report(report, path: Optional[str], passed: bool = True):
 
 
 def _cmd_batch(args: argparse.Namespace):
-    from repro.batch import BatchEvaluator, available_backends
-
-    if args.batch_command == "backends":
-        lines = [f"available batch backends: {', '.join(available_backends())}"]
-        lines.append(
-            "auto-selection prefers numpy when the 'scientific' extra "
-            "is installed"
-        )
-        return "\n".join(lines)
+    from repro.batch import BatchEvaluator
 
     if args.batch_command == "ratio":
         from repro.schedule import algorithm_for
 
         algorithm = algorithm_for(args.n, args.f)
-        evaluator = BatchEvaluator(algorithm, backend=args.backend)
-        estimate = evaluator.estimate(x_max=args.x_max)
+        estimate = BatchEvaluator(algorithm).estimate(x_max=args.x_max)
         theory = algorithm.theoretical_competitive_ratio()
-        lines = [
-            algorithm.describe(),
-            f"backend: {evaluator.backend.name}",
-            estimate.describe(),
-        ]
+        lines = [algorithm.describe(), estimate.describe()]
         if theory is not None:
             lines.append(
                 f"agreement with closed form: {estimate.matches(theory)}"
@@ -842,9 +815,9 @@ def _cmd_batch(args: argparse.Namespace):
         fleet = Fleet.from_algorithm(algorithm)
         grid = geometric_grid(1.0, args.x_max, args.points)
         targets = grid + [-x for x in grid]
-        profile = BatchEvaluator(
-            fleet, fault_budget=args.f, backend=args.backend
-        ).ratio_profile(targets)
+        profile = BatchEvaluator(fleet, fault_budget=args.f).ratio_profile(
+            targets
+        )
         worst = profile.supremum
         return "\n".join(
             [
@@ -864,7 +837,6 @@ def _cmd_batch(args: argparse.Namespace):
             targets_per_pair=args.targets,
             fault_sets_per_target=args.fault_sets,
             seed=args.seed,
-            backend=args.backend,
             x_max=args.x_max,
         )
         return _emit_report(report, args.report_json, report.passed)

@@ -138,7 +138,6 @@ class BatchError(LineSearchError):
     """The batch evaluation subsystem could not complete a request.
 
     Raised by :mod:`repro.batch` when a trajectory cannot be compiled
-    into segment arrays within the segment budget, when a requested
-    backend is unavailable, or when kernels are asked about targets
-    outside the compiled coverage window.
+    into segment arrays within the segment budget, or when kernels are
+    asked about targets outside the compiled coverage window.
     """

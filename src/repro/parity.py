@@ -12,7 +12,7 @@ comparisons ship:
   within the :mod:`repro.core.tolerance` bound (``times_close``), over
   adversarial (worst-case ``T_{f+1}``) and explicit crash-fault sets.
   The service runs a small grid at startup as the batch fast path's
-  license to serve, and CI runs the default grid under both backends.
+  license to serve, and CI runs the default grid in a bare venv.
 * :func:`run_async_parity` — the discrete-event engine of
   :mod:`repro.async_sched` under FSYNC activation and unit speeds.
   Its cumulative-offset timelines make bit-exactness achievable, so the
@@ -48,7 +48,6 @@ from typing import (
     Union,
 )
 
-from repro.batch.backend import BatchBackend, get_backend
 from repro.batch.evaluate import BatchEvaluator
 from repro.core.tolerance import TIME_RTOL, times_close
 from repro.errors import InvalidParameterError
@@ -409,7 +408,6 @@ def run_parity_harness(
     targets_per_pair: int = 40,
     fault_sets_per_target: int = 5,
     seed: int = 2016,
-    backend: Union[BatchBackend, str, None] = None,
     x_max: float = 32.0,
 ) -> ParityReport:
     """The batch kernels against the engine, within ``times_close``.
@@ -425,13 +423,12 @@ def run_parity_harness(
         fault_sets_per_target: Fault assignments compared per target
             (adversarial + fault-free + random subsets).
         seed: Master seed; the whole grid is reproducible from it.
-        backend: Forwarded to :class:`~repro.batch.evaluate.BatchEvaluator`.
         x_max: Largest target magnitude drawn.
 
     Examples:
         >>> report = run_parity_harness(
         ...     pairs=[(3, 1)], targets_per_pair=3,
-        ...     fault_sets_per_target=2, backend="pure",
+        ...     fault_sets_per_target=2,
         ... )
         >>> report.passed
         True
@@ -445,13 +442,9 @@ def run_parity_harness(
         targets_per_pair=targets_per_pair,
         fault_sets_per_target=fault_sets_per_target,
     )
-    if not isinstance(backend, BatchBackend):
-        backend = get_backend(backend)
     fleet = _fleets()
     evaluator = functools.lru_cache(maxsize=None)(
-        lambda n, f: BatchEvaluator(
-            algorithm_for(n, f), fault_budget=f, backend=backend
-        )
+        lambda n, f: BatchEvaluator(algorithm_for(n, f), fault_budget=f)
     )
 
     def fault_sets(rng: random.Random, n: int, f: int) -> List[Fault]:
@@ -481,9 +474,10 @@ def run_parity_harness(
         candidate=("batch", batch),
         exact=False,
         name="parity",
-        tag=backend.name,
+        tag="pure",
         seed=seed,
-        params={"backend": backend.name},
+        # kept so parity reports keep their JSON shape
+        params={"backend": "pure"},
     )
 
 

@@ -12,8 +12,7 @@ pyperf-style judgement call, miniaturized: a candidate workload is a
 
 Symmetric medians that beat both gates downward are reported as
 improvements (informational).  Workloads present on only one side are
-reported as ``missing``/``new`` without failing the comparison — a
-baseline recorded with numpy must not fail a bare-venv candidate.
+reported as ``missing``/``new`` without failing the comparison.
 Fingerprint differences are surfaced in the report header, never
 gated on.
 

@@ -2,7 +2,7 @@
 
 An airspeed-velocity-style tracked suite without the infrastructure: a
 registry of :class:`Workload` objects — each a deterministic, seeded
-slice of the system (engine sweep, batch kernels per backend, fleet
+slice of the system (engine sweep, batch kernels, fleet
 compilation, campaign executor, a chaos scenario) — grouped into named
 *suites* (``quick``/``full`` plus per-subsystem cuts) and timed with
 warmup + repeats.  :func:`run_suite` emits a versioned record carrying:
@@ -70,9 +70,7 @@ class Workload:
     ``setup(params)`` does everything that must stay *outside* the
     timed region (building fleets, compiling kernels, generating
     grids) and returns a zero-argument callable that is then timed.
-    ``full`` and ``quick`` are the two parameter sets; ``requires``
-    names a batch backend that must be available, else the workload is
-    skipped (and recorded as skipped).
+    ``full`` and ``quick`` are the two parameter sets.
     """
 
     name: str
@@ -80,7 +78,6 @@ class Workload:
     setup: Callable[[Dict[str, Any]], Callable[[], Any]]
     full: Dict[str, Any] = field(default_factory=dict)
     quick: Dict[str, Any] = field(default_factory=dict)
-    requires: Optional[str] = None
 
     def params(self, size: str) -> Dict[str, Any]:
         """The parameter set for ``size`` (``"full"`` or ``"quick"``)."""
@@ -111,23 +108,18 @@ def _setup_engine_sweep(params: Dict[str, Any]) -> Callable[[], Any]:
     return lambda: target_sweep(fleet, params["f"], targets, method="event")
 
 
-def _make_batch_setup(backend: str):
-    def setup(params: Dict[str, Any]) -> Callable[[], Any]:
-        from repro.batch import BatchEvaluator
-        from repro.robots import Fleet
-        from repro.schedule import ProportionalAlgorithm
+def _setup_batch_pure(params: Dict[str, Any]) -> Callable[[], Any]:
+    from repro.batch import BatchEvaluator
+    from repro.robots import Fleet
+    from repro.schedule import ProportionalAlgorithm
 
-        fleet = Fleet.from_algorithm(
-            ProportionalAlgorithm(params["n"], params["f"])
-        )
-        targets = _symmetric_grid(params["points"], params["x_max"])
-        evaluator = BatchEvaluator(
-            fleet, fault_budget=params["f"], backend=backend
-        )
-        evaluator.search_times(targets[:2])  # compile outside the timer
-        return lambda: evaluator.search_times(targets)
-
-    return setup
+    fleet = Fleet.from_algorithm(
+        ProportionalAlgorithm(params["n"], params["f"])
+    )
+    targets = _symmetric_grid(params["points"], params["x_max"])
+    evaluator = BatchEvaluator(fleet, fault_budget=params["f"])
+    evaluator.search_times(targets[:2])  # compile outside the timer
+    return lambda: evaluator.search_times(targets)
 
 
 def _setup_batch_compile(params: Dict[str, Any]) -> Callable[[], Any]:
@@ -312,18 +304,9 @@ WORKLOADS: Tuple[Workload, ...] = (
     Workload(
         name="batch_pure",
         description="batch kernels, pure-python backend, one grid pass",
-        setup=_make_batch_setup("pure"),
+        setup=_setup_batch_pure,
         full={"n": 3, "f": 1, "points": 10000, "x_max": 100.0},
         quick={"n": 3, "f": 1, "points": 1000, "x_max": 100.0},
-        requires="pure",
-    ),
-    Workload(
-        name="batch_numpy",
-        description="batch kernels, numpy backend, one grid pass",
-        setup=_make_batch_setup("numpy"),
-        full={"n": 3, "f": 1, "points": 10000, "x_max": 100.0},
-        quick={"n": 3, "f": 1, "points": 1000, "x_max": 100.0},
-        requires="numpy",
     ),
     Workload(
         name="batch_compile",
@@ -448,7 +431,7 @@ SUITES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "quick": ("quick", tuple(w.name for w in WORKLOADS)),
     "full": ("full", tuple(w.name for w in WORKLOADS)),
     "engine": ("full", ("engine_sweep", "chaos_scenario")),
-    "batch": ("full", ("batch_pure", "batch_numpy", "batch_compile")),
+    "batch": ("full", ("batch_pure", "batch_compile")),
     "campaign": ("full", ("campaign_executor", "chaos_scenario")),
     "byzantine": ("full", ("byzantine_protocol", "chaos_scenario")),
     "async": ("full", ("async_engine", "engine_sweep")),
@@ -564,16 +547,9 @@ def run_suite(
             )
         names = tuple(n for n in names if n in set(only))
 
-    from repro.batch import available_backends
-
-    backends = available_backends()
     workloads: Dict[str, Any] = {}
-    skipped: Dict[str, str] = {}
     for name in names:
         workload = _WORKLOADS_BY_NAME[name]
-        if workload.requires and workload.requires not in backends:
-            skipped[name] = f"backend {workload.requires!r} unavailable"
-            continue
         params = workload.params(size)
         with obs.span("perf.workload", workload=name, size=size):
             samples, counters = _measure(workload, params, repeats, warmup)
@@ -594,7 +570,8 @@ def run_suite(
         "warmup": warmup,
         "fingerprint": machine_fingerprint(),
         "workloads": workloads,
-        "skipped": skipped,
+        # kept empty so records keep the SUITE_VERSION 1 shape
+        "skipped": {},
     }
 
 

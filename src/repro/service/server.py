@@ -220,7 +220,6 @@ class LineSearchService:
         self._workers: List[threading.Thread] = []
         self._telemetry = None
         self._previous_telemetry = None
-        self._backend_name = "pure"
         self._parity: Dict[str, Any] = {"checked": False}
         self._batch_ok = True
         # Recover durable state before taking any traffic: replay the
@@ -237,11 +236,8 @@ class LineSearchService:
     # -- startup parity (the batch fast path's license to serve) -------
 
     def _run_startup_parity(self) -> None:
-        from repro.batch.backend import get_backend
-
-        self._backend_name = get_backend(None).name
         if not self.config.parity_check:
-            self._parity = {"checked": False, "backend": self._backend_name}
+            self._parity = {"checked": False, "backend": "pure"}
             return
         from repro.parity import run_parity_harness
 
@@ -256,7 +252,7 @@ class LineSearchService:
             "checked": True,
             "passed": report.passed,
             "points": report.total,
-            "backend": self._backend_name,
+            "backend": "pure",
         }
 
     # -- lifecycle -----------------------------------------------------
@@ -730,7 +726,7 @@ class LineSearchService:
             "rate_limit": (
                 None if self.limiter is None else self.limiter.stats()
             ),
-            "backend": self._backend_name,
+            "backend": "pure",  # the only batch kernels; kept on the wire
             "parity": self._parity,
             "default_method": self.config.default_method,
             "uptime_seconds": time.monotonic() - self._started,

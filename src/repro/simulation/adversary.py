@@ -58,9 +58,9 @@ class CompetitiveRatioEstimator:
             ``|position| <= x_max`` for any algorithm whose turn times
             grow at most linearly with position (all algorithms here).
         method: ``"batch"`` (default) routes whole probe sets through
-            :class:`~repro.batch.evaluate.BatchEvaluator` on the
-            dependency-free ``pure`` backend (one kernel pass, results
-            bit-identical to the per-target engine); ``"event"``
+            :class:`~repro.batch.evaluate.BatchEvaluator` (one
+            dependency-free kernel pass, results bit-identical to the
+            per-target engine); ``"event"``
             evaluates each probe with the per-target visit machinery
             (the oracle).
 
@@ -169,7 +169,7 @@ class CompetitiveRatioEstimator:
             from repro.batch import BatchEvaluator
 
             self._batch_evaluator = BatchEvaluator(
-                self.fleet, fault_budget=self.fault_budget, backend="pure"
+                self.fleet, fault_budget=self.fault_budget
             )
         return self._batch_evaluator
 

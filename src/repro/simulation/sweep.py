@@ -121,9 +121,9 @@ def target_sweep(
         fault_budget: Worst-case fault count ``f``.
         targets: Target grid (any order).
         method: ``"batch"`` routes the whole grid through
-            :class:`~repro.batch.evaluate.BatchEvaluator` on the
-            dependency-free ``pure`` backend: one kernel pass, results
-            bit-identical to the per-target engine.  ``"event"``
+            :class:`~repro.batch.evaluate.BatchEvaluator`: one
+            dependency-free kernel pass, results bit-identical to the
+            per-target engine.  ``"event"``
             computes each point with the per-target visit machinery
             (the oracle).  ``None`` (default) means ``"event"`` when a
             ``scheduler`` is given and ``"batch"`` otherwise.
@@ -195,9 +195,7 @@ def target_sweep(
         elif method == "batch":
             from repro.batch import BatchEvaluator
 
-            evaluator = BatchEvaluator(
-                fleet, fault_budget=fault_budget, backend="pure"
-            )
+            evaluator = BatchEvaluator(fleet, fault_budget=fault_budget)
             times = evaluator.search_times(targets)
             samples = [
                 RatioSample(float(x), t) for x, t in zip(targets, times)

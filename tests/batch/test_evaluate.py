@@ -4,17 +4,25 @@ import math
 
 import pytest
 
-from repro.batch import BatchEvaluator
+from repro.batch import BatchEvaluator, cache
 from repro.errors import InvalidParameterError
 from repro.robots import Fleet
 from repro.schedule import ProportionalAlgorithm
 from repro.simulation import CompetitiveRatioEstimator
 from repro.simulation.sweep import geometric_grid
-from repro.trajectory import LinearTrajectory
+from repro.trajectory import DoublingTrajectory, LinearTrajectory
 
 
 @pytest.fixture
-def evaluator_3_1():
+def fresh_cache(monkeypatch):
+    """An empty shared fleet cache, so no other test's compiles show."""
+    fresh = cache.CompiledFleetCache()
+    monkeypatch.setattr(cache, "FLEET_CACHE", fresh)
+    return fresh
+
+
+@pytest.fixture
+def evaluator_3_1(fresh_cache):
     return BatchEvaluator(ProportionalAlgorithm(3, 1), backend="pure")
 
 
@@ -39,6 +47,28 @@ class TestConstruction:
     def test_negative_budget_rejected(self):
         with pytest.raises(InvalidParameterError, match=">= 0"):
             BatchEvaluator(ProportionalAlgorithm(3, 1), fault_budget=-1)
+
+    def test_pure_backend_accepted(self):
+        for backend in (None, "pure"):
+            evaluator = BatchEvaluator(
+                ProportionalAlgorithm(3, 1), backend=backend
+            )
+            assert evaluator.search_times([2.0]) == BatchEvaluator(
+                ProportionalAlgorithm(3, 1)
+            ).search_times([2.0])
+
+    def test_removed_backends_rejected(self):
+        for backend in ("numpy", "fortran"):
+            with pytest.raises(InvalidParameterError, match="removed"):
+                BatchEvaluator(ProportionalAlgorithm(3, 1), backend=backend)
+
+    def test_unkeyed_fleet_keeps_a_private_cache(self, fresh_cache):
+        evaluator = BatchEvaluator(
+            [DoublingTrajectory(), LinearTrajectory(1)], fault_budget=1
+        )
+        assert evaluator.search_times([3.0, -1.0]) == [9.0, math.inf]
+        assert len(fresh_cache) == 0
+        assert "segments" in evaluator.describe()
 
     def test_describe_mentions_backend_and_cache(self, evaluator_3_1):
         assert "not compiled" in evaluator_3_1.describe()
@@ -80,16 +110,17 @@ class TestSearchTimes:
         with pytest.raises(InvalidParameterError, match="finite"):
             evaluator_3_1.search_times([1.0, math.nan])
 
-    def test_window_cache_extends(self, evaluator_3_1):
+    def test_window_cache_extends(self, evaluator_3_1, fresh_cache):
+        key = cache.fleet_key(evaluator_3_1.fleet.trajectories)
         near = evaluator_3_1.search_times([2.0])[0]
-        compiled_small = evaluator_3_1._compiled
+        compiled_small = fresh_cache.get(key)
         far = evaluator_3_1.search_times([100.0])[0]
-        compiled_big = evaluator_3_1._compiled
+        compiled_big = fresh_cache.get(key)
         assert compiled_big is not compiled_small
         assert compiled_big.window_hi >= 100.0
         # the extension must not perturb previously served targets
         assert evaluator_3_1.search_times([2.0])[0] == near
-        assert evaluator_3_1._compiled is compiled_big
+        assert fresh_cache.get(key) is compiled_big
         assert math.isfinite(far)
 
 

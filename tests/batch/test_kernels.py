@@ -4,18 +4,29 @@ import math
 
 import pytest
 
-from repro.batch.compile import compile_trajectory
+from repro.batch.compile import compile_fleet, compile_trajectory
 from repro.batch.kernels import (
     first_visit_row,
     kth_smallest_per_column,
     min_excluding_rows,
 )
 from repro.errors import InvalidParameterError
+from repro.schedule import ProportionalAlgorithm, algorithm_for
 from repro.trajectory import (
     DoublingTrajectory,
     GeometricZigZag,
     LinearTrajectory,
 )
+from tests.batch.test_compile import StationaryTrajectory
+
+
+def grids():
+    """Snapshot grids exercising starts, duplicates, and never-visits."""
+    return [
+        [-7.5, -2.0, -1.0, 0.0, 0.0, 0.5, 1.0, 3.25, 7.5],
+        [x / 8.0 for x in range(-60, 61)],
+        [-1e-6, 1e-6, 30.0, -30.0 + 1e-9],
+    ]
 
 
 class TestFirstVisitRow:
@@ -87,3 +98,68 @@ class TestMinExcludingRows:
             min_excluding_rows([[1.0]], {2})
         with pytest.raises(InvalidParameterError, match="out of range"):
             min_excluding_rows([[1.0]], {-1})
+
+
+class TestSnapshots:
+    """Whole compiled fleets against the scalar reference query."""
+
+    @pytest.mark.parametrize("pair", [(2, 1), (3, 1), (5, 2), (6, 2)])
+    def test_rows_match_scalar_reference(self, pair):
+        n, f = pair
+        fleet = compile_fleet(algorithm_for(n, f).build(), -32.0, 32.0)
+        for xs in grids():
+            xs_sorted = sorted(xs)
+            for compiled in fleet.trajectories:
+                # Exact equality on purpose: the kernel and the scalar
+                # query compute the crossing with the same expression.
+                assert first_visit_row(compiled, xs_sorted) == [
+                    compiled.first_visit(x) for x in xs_sorted
+                ]
+
+    def test_order_statistics_match_scalar_reference(self):
+        fleet = compile_fleet(
+            ProportionalAlgorithm(3, 1).build(), -32.0, 32.0
+        )
+        xs_sorted = sorted(grids()[1])
+        rows = [first_visit_row(c, xs_sorted) for c in fleet.trajectories]
+        columns = [
+            [c.first_visit(x) for c in fleet.trajectories] for x in xs_sorted
+        ]
+        for k in (1, 2, 3, 4):
+            expected = [
+                sorted(column)[k - 1] if k <= len(column) else math.inf
+                for column in columns
+            ]
+            assert kth_smallest_per_column(rows, k) == expected
+        for excluded in (set(), {0}, {1, 2}, {0, 1, 2}):
+            expected = [
+                min(
+                    (t for i, t in enumerate(column) if i not in excluded),
+                    default=math.inf,
+                )
+                for column in columns
+            ]
+            assert min_excluding_rows(rows, excluded) == expected
+
+
+class TestEdges:
+    def test_zero_segment_trajectory(self):
+        # A fleet member that never leaves the origin compiles to zero
+        # segments and is visited only at its start.
+        fleet = compile_fleet(
+            [StationaryTrajectory(), LinearTrajectory(1)], -2.0, 2.0
+        )
+        rows = [
+            first_visit_row(c, [-1.0, 0.0, 1.0]) for c in fleet.trajectories
+        ]
+        assert rows[0] == [math.inf, 0.0, math.inf]
+        assert rows[1] == [math.inf, 0.0, 1.0]
+
+    def test_kth_and_exclusion_validation(self):
+        fleet = compile_fleet([LinearTrajectory(1)], -1.0, 1.0)
+        rows = [first_visit_row(c, [0.5]) for c in fleet.trajectories]
+        with pytest.raises(InvalidParameterError, match="k"):
+            kth_smallest_per_column(rows, 0)
+        with pytest.raises(InvalidParameterError, match="out of range"):
+            min_excluding_rows(rows, {5})
+        assert kth_smallest_per_column(rows, 2) == [math.inf]

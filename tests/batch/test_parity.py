@@ -13,7 +13,7 @@ class TestDefaultGrid:
     def test_default_grid_meets_acceptance_bar(self):
         # >= 1000 (target, fault-set) points across >= 5 regimes,
         # including n = f + 1 and n = 2f + 1.
-        report = run_parity_harness(backend="pure")
+        report = run_parity_harness()
         assert report.passed, report.describe()
         assert report.total >= 1000
         assert len(report.regimes) >= 5
@@ -24,7 +24,6 @@ class TestDefaultGrid:
     def test_seed_reproducibility(self):
         small = dict(
             pairs=[(3, 1)], targets_per_pair=4, fault_sets_per_target=3,
-            backend="pure",
         )
         a = run_parity_harness(seed=7, **small)
         b = run_parity_harness(seed=7, **small)
@@ -32,17 +31,6 @@ class TestDefaultGrid:
         assert [c.fault for c in a.cases] == [
             c.fault for c in b.cases
         ]
-
-    def test_numpy_backend_also_passes(self):
-        pytest.importorskip("numpy")
-        report = run_parity_harness(
-            pairs=[(3, 1), (6, 2)],
-            targets_per_pair=10,
-            fault_sets_per_target=4,
-            backend="numpy",
-        )
-        assert report.params["backend"] == "numpy"
-        assert report.passed, report.describe()
 
 
 class TestReport:
@@ -52,7 +40,6 @@ class TestReport:
             pairs=[(2, 1), (4, 2)],
             targets_per_pair=5,
             fault_sets_per_target=3,
-            backend="pure",
         )
 
     def test_shape(self, report):

@@ -2,19 +2,15 @@
 
 The generators draw a proportional regime (``f < n < 2f + 2``), a random
 target grid, and random crash-detection fault subsets; every property
-holds the batch kernels to the event path's answers.  A separate
-property pins pure-vs-numpy bit-for-bit equality on random snapshots.
+holds the batch kernels to the event path's answers.
 """
 
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch import BatchEvaluator
-from repro.batch.backend import PureBackend
-from repro.batch.compile import compile_fleet
 from repro.core.tolerance import times_close
 from repro.robots import FixedFaults, Fleet
 from repro.schedule import algorithm_for
@@ -84,27 +80,6 @@ def test_explicit_fault_sets_match_engine(regime, targets, data):
             assert math.isinf(t)
         else:
             assert times_close(t, outcome.detection_time)
-
-
-@settings(max_examples=25, deadline=None)
-@given(regime=proportional_regimes(), targets=targets_strategy())
-def test_pure_and_numpy_bit_for_bit(regime, targets):
-    numpy_mod = pytest.importorskip("numpy")
-    assert numpy_mod is not None
-    from repro.batch.backend import NumpyBackend
-
-    n, f = regime
-    window = max(abs(x) for x in targets)
-    fleet = compile_fleet(algorithm_for(n, f).build(), -window, window)
-    xs_sorted = sorted(targets)
-    pure = PureBackend()
-    fast = NumpyBackend()
-    m_pure = pure.first_visit_matrix(fleet, xs_sorted)
-    m_fast = fast.first_visit_matrix(fleet, xs_sorted)
-    for i in range(fleet.size):
-        assert pure.row(m_pure, i) == fast.row(m_fast, i)
-    for k in range(1, n + 1):
-        assert pure.kth_smallest(m_pure, k) == fast.kth_smallest(m_fast, k)
 
 
 @settings(max_examples=20, deadline=None)

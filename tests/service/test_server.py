@@ -9,12 +9,15 @@ drain so they stay fast and deterministic.
 
 import http.client
 import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.parse
 
 import pytest
 
+import repro
 from repro.errors import InvalidParameterError
 from repro.robustness import CampaignExecutor
 from repro.service import (
@@ -25,6 +28,7 @@ from repro.service import (
     parse_submission,
 )
 from repro.robustness.campaign import build_scenario
+from repro.service.queueing import Job
 
 
 def _start(tmp_path, **overrides):
@@ -261,21 +265,76 @@ class TestOverload:
             service.stop()
 
 
+@pytest.fixture
+def deadline_clock(monkeypatch):
+    """Job deadlines read a test-driven clock instead of the wall clock.
+
+    ``elapsed(job)`` is how many seconds have passed since ``job`` was
+    submitted; it starts at zero for every job, so nothing expires until
+    the test says so, however slow the machine.
+    """
+
+    class Clock:
+        def elapsed(self, job):
+            return 0.0
+
+    clock = Clock()
+    remaining = Job.remaining_deadline
+
+    def remaining_deadline(job, now=None):
+        if now is None:
+            now = job.submitted_at + clock.elapsed(job)
+        return remaining(job, now)
+
+    monkeypatch.setattr(Job, "remaining_deadline", remaining_deadline)
+    return clock
+
+
+def _hold_jobs(monkeypatch, service):
+    """Make every job wait at the start of its execution until released;
+    returns ``(entered, release)`` events."""
+    entered, release = threading.Event(), threading.Event()
+    execute = service._execute_job
+
+    def held(job):
+        entered.set()
+        assert release.wait(timeout=60.0), "the test never released the job"
+        execute(job)
+
+    monkeypatch.setattr(service, "_execute_job", held)
+    return entered, release
+
+
 class TestDeadlines:
-    def test_deadline_expires_queued_job(self, tmp_path):
+    def test_deadline_expires_queued_job(
+        self, tmp_path, monkeypatch, deadline_clock
+    ):
         service, client = _start(tmp_path, workers=1, queue_capacity=4)
+        entered, release = _hold_jobs(monkeypatch, service)
         try:
             blocker = client.submit_campaign(**_grid(80, seed=5))
+            # the only worker is now held inside the blocker
+            assert entered.wait(timeout=30.0)
             doomed = client.submit_campaign(**_grid(4, seed=6),
                                             deadline=0.05)
+            # time passes the doomed job's deadline (not the blocker's
+            # 120 s) while it waits in the queue
+            deadline_clock.elapsed = lambda job: 1.0
+            release.set()
             envelope = client.wait(doomed["job_id"], timeout=60.0)
             assert envelope["state"] == "deadline_exceeded"
             assert envelope["error"] == "deadline_exceeded"
-            client.wait(blocker["job_id"], timeout=120.0)
+            assert client.wait(blocker["job_id"], timeout=120.0)[
+                "state"] == "done"
         finally:
+            release.set()
             service.stop()
 
-    def test_deadline_interrupts_running_campaign(self, tmp_path):
+    def test_deadline_interrupts_running_campaign(
+        self, tmp_path, deadline_clock
+    ):
+        # the deadline passes once the job has completed 5 scenarios
+        deadline_clock.elapsed = lambda job: 1.0 if job.completed >= 5 else 0.0
         service, client = _start(tmp_path)
         try:
             doomed = client.submit_campaign(**_grid(400, seed=7),
@@ -285,13 +344,13 @@ class TestDeadlines:
             # partial work stayed journaled and cached: resubmitting the
             # same grid with a sane deadline reuses it
             progressed = client.poll(doomed["job_id"])["completed"]
+            assert 5 <= progressed < 400  # expired mid-run
             hits_before = service.cache.stats()["hits"]
             redo = client.submit_campaign(**_grid(400, seed=7))
             redone = client.wait(redo["job_id"], timeout=120.0)
             assert redone["state"] == "done"
-            if progressed:  # expired mid-run, not while queued
-                assert redone["cache_hits"] >= progressed
-                assert service.cache.stats()["hits"] > hits_before
+            assert redone["cache_hits"] >= progressed
+            assert service.cache.stats()["hits"] > hits_before
         finally:
             service.stop()
 
@@ -413,7 +472,7 @@ class TestIntrospection:
             ready = client.ready()
             assert ready["ready"] is True
             assert ready["queue"]["capacity"] == 16
-            assert ready["backend"] in ("numpy", "pure")
+            assert ready["backend"] == "pure"
             client.submit_scenario({"n": 3, "f": 1, "target": 1.0})
             text = client.metrics()
             assert "service_requests_total" in text
@@ -428,6 +487,32 @@ class TestIntrospection:
             assert parity["checked"] is True
             assert parity["passed"] is True
             assert parity["points"] > 0
-            assert parity["backend"] == service._backend_name
+            assert parity["backend"] == "pure"
         finally:
             service.stop()
+
+    def test_startup_parity_checks_the_kernels_it_serves_with(
+        self, tmp_path
+    ):
+        # The serving routes run the pure kernels; the startup check must
+        # cover exactly those, even where numpy is importable.
+        pytest.importorskip("numpy")
+        state_dir = str(tmp_path / "state")
+        script = (
+            "import sys\n"
+            "from repro.service import LineSearchService, ServiceConfig\n"
+            "service = LineSearchService(ServiceConfig(\n"
+            f"    state_dir={state_dir!r}, parity_check=True))\n"
+            "parity = service.ready_body()[1]['parity']\n"
+            "assert parity['checked'] and parity['passed'], parity\n"
+            "assert parity['backend'] == 'pure', parity\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result.returncode == 0, result.stderr

@@ -3,11 +3,11 @@ estimator, and they are bit-identical to the per-target engine.
 
 ``target_sweep`` and ``CompetitiveRatioEstimator`` (hence
 ``measure_competitive_ratio``) evaluate ``K(x) = T_{f+1}(x) / |x|``
-through :class:`~repro.batch.evaluate.BatchEvaluator` on the ``pure``
-backend unless told otherwise; ``method="event"`` is the oracle.  These
-tests pin exact (``float.hex``) agreement over every shipped algorithm
-family, the routing rules, and that the default path never imports an
-optional dependency.
+through :class:`~repro.batch.evaluate.BatchEvaluator` unless told
+otherwise; ``method="event"`` is the oracle.  These tests pin exact
+(``float.hex``) agreement over every shipped algorithm family, the
+routing rules, that both front ends share one compiled fleet, and that
+the default path never imports an optional dependency.
 """
 
 import importlib
@@ -22,6 +22,7 @@ import pytest
 
 import repro
 import repro.baselines
+from repro.batch import cache
 import repro.extensions
 import repro.schedule
 from repro.baselines import (
@@ -41,9 +42,11 @@ from repro.schedule import algorithm_for
 from repro.schedule.base import SearchAlgorithm
 from repro.schedule.byzantine import ByzantineConfirmationAlgorithm
 from repro.schedule.generalized import CustomBetaAlgorithm
+from repro.observability import instrument as obs
 from repro.schedule.halfline import HalfLineAlgorithm
+from repro.simulation import measure_competitive_ratio
 from repro.simulation.adversary import CompetitiveRatioEstimator
-from repro.simulation.sweep import target_sweep
+from repro.simulation.sweep import geometric_grid, target_sweep
 
 #: One or more instances of every shipped SearchAlgorithm family, by id.
 ALGORITHMS = {
@@ -181,6 +184,30 @@ class TestRouting:
             target_sweep(fleet_3_1, 1, [1.0, bad])
         with pytest.raises(InvalidParameterError, match="finite"):
             target_sweep(fleet_3_1, 1, [1.0, bad], method="event")
+
+
+def test_sweep_and_estimate_share_one_compiled_fleet(monkeypatch):
+    fresh = cache.CompiledFleetCache()
+    monkeypatch.setattr(cache, "FLEET_CACHE", fresh)
+    algorithm = algorithm_for(3, 1)
+    grid = geometric_grid(1.0, 256.0, 50)
+    telemetry = obs.enable()
+    try:
+        target_sweep(
+            Fleet.from_algorithm(algorithm), 1, grid + [-x for x in grid]
+        )
+        compiles = telemetry.metrics.counter("batch_compiles_total")
+        assert compiles.value() == 1.0
+        # the estimator's probes (|x| <= 200) fit the sweep's window
+        measure_competitive_ratio(algorithm, x_max=200.0)
+        assert compiles.value() == 1.0
+        # a larger window compiles once more, for both front ends
+        measure_competitive_ratio(algorithm, x_max=400.0)
+        target_sweep(Fleet.from_algorithm(algorithm), 1, [-400.0, 400.0])
+        assert compiles.value() == 2.0
+    finally:
+        obs.disable()
+    assert len(fresh) == 1
 
 
 def test_default_path_does_not_import_numpy():

@@ -35,7 +35,7 @@ def test_api_doc_covers_key_items():
         "evacuation_time",
         "BatchEvaluator",
         "compile_trajectory",
-        "available_backends",
+        "CompiledFleetCache",
         "run_parity_harness",
     ):
         assert name in text, name
