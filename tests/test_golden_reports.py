@@ -1,7 +1,8 @@
 """Golden-file regression tests for deterministic experiment reports.
 
-The closed-form experiments are fully deterministic, so their rendered
-reports are pinned byte-for-byte.  A diff here means either an
+The closed-form experiments, every registered experiment report and the
+CR-degradation sweep's JSON are fully deterministic, so they are pinned
+byte-for-byte.  A diff here means either an
 intentional formula/rendering change (regenerate the files, see below)
 or a regression.
 
@@ -11,14 +12,21 @@ Regenerate after an intentional change::
     from tests.test_golden_reports import regenerate; regenerate()"
 """
 
+import functools
 import os
 
 import pytest
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
+#: Registered experiments whose report is pinned under another name
+#: (both print ``render_asymptotics(run_asymptotics())``).
+_PINNED_AS_ASYMPTOTICS = ("corollary1", "corollary2")
 
+
+@functools.lru_cache(maxsize=None)
 def _current_reports():
+    from repro.async_sched import run_degradation_sweep
     from repro.experiments.asymptotics import (
         render_asymptotics,
         run_asymptotics,
@@ -33,6 +41,7 @@ def _current_reports():
         render_figure5_left,
         render_figure5_right,
     )
+    from repro.experiments.registry import experiment_ids, run_experiment
     from repro.experiments.table1 import render_table1, run_table1
 
     from repro.experiments.diagrams import all_diagrams
@@ -47,9 +56,18 @@ def _current_reports():
             run_extended_table(6)
         ),
         "diagram_tower.txt": tower_diagram(),
+        "degradation_3_1.json": run_degradation_sweep(3, 1).to_json(),
+        "degradation_3_1_speeds.json": run_degradation_sweep(
+            3, 1, speeds=(1, 0.8, 0.6)
+        ).to_json(),
     }
     for name, art in all_diagrams().items():
         reports[f"diagram_{name}.txt"] = art
+    for experiment_id in experiment_ids():
+        if experiment_id not in _PINNED_AS_ASYMPTOTICS:
+            reports[f"experiment_{experiment_id}.txt"] = run_experiment(
+                experiment_id
+            )
     return reports
 
 
