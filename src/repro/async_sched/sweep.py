@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.async_sched.engine import EventEngine
 from repro.async_sched.schedulers import (
     SCHEDULER_KINDS,
     ActivationScheduler,
@@ -44,10 +43,9 @@ from repro.async_sched.schedulers import (
 from repro.errors import InvalidParameterError
 from repro.extensions.multi_speed import MultiSpeedProportionalAlgorithm
 from repro.observability import instrument as obs
-from repro.robots.faults import AdversarialFaults
 from repro.robots.fleet import Fleet
 from repro.schedule.algorithm import ProportionalAlgorithm
-from repro.simulation.sweep import geometric_grid
+from repro.simulation.sweep import geometric_grid, target_sweep
 
 __all__ = ["DegradationPoint", "DegradationReport", "run_degradation_sweep"]
 
@@ -247,38 +245,28 @@ def run_degradation_sweep(
         delays=len(delays),
         targets=len(targets),
     ):
-        baseline_supremum = -math.inf
-        baseline_witness = targets[0]
-        for x in targets:
-            ratio = fleet.worst_case_detection_time(x, f) / abs(x)
-            if ratio > baseline_supremum:
-                baseline_supremum = ratio
-                baseline_witness = x
+        baseline = target_sweep(fleet, f, targets).supremum
         sweep_points: List[DegradationPoint] = []
         for delay in delays:
-            sched = _scheduler_for(scheduler, delay, float(quantum))
-            supremum = -math.inf
-            witness = targets[0]
+            profile = target_sweep(
+                fleet,
+                f,
+                targets,
+                scheduler=_scheduler_for(scheduler, delay, float(quantum)),
+                seed=seed,
+            )
+            obs.count("async_sweep_points_total", len(targets))
+            worst = profile.supremum
+            # Left to right, not sum(): Python 3.12's sum() compensates,
+            # which would make the mean differ between versions.
             total = 0.0
-            for x in targets:
-                outcome = EventEngine(
-                    fleet,
-                    x,
-                    scheduler=sched,
-                    fault_model=AdversarialFaults(f),
-                    seed=seed,
-                ).run(with_events=False)
-                ratio = outcome.detection_time / abs(x)
+            for ratio in profile.ratios():
                 total += ratio
-                if ratio > supremum:
-                    supremum = ratio
-                    witness = x
-                obs.count("async_sweep_points_total")
             sweep_points.append(
                 DegradationPoint(
                     max_delay=delay,
-                    supremum_ratio=supremum,
-                    witness_target=witness,
+                    supremum_ratio=worst.ratio,
+                    witness_target=worst.x,
                     mean_ratio=total / len(targets),
                 )
             )
@@ -289,8 +277,8 @@ def run_degradation_sweep(
         quantum=float(quantum),
         seed=int(seed),
         targets=targets,
-        baseline_supremum=baseline_supremum,
-        baseline_witness=baseline_witness,
+        baseline_supremum=baseline.ratio,
+        baseline_witness=baseline.x,
         points=tuple(sweep_points),
         speeds=speed_tuple,
     )

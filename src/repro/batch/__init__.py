@@ -30,7 +30,12 @@ Quickstart::
 
     evaluator = BatchEvaluator(ProportionalAlgorithm(3, 1))
     times = evaluator.search_times([1.0, -2.5, 4.0])   # T_{f+1} per target
-    profile = evaluator.ratio_profile([1.0, -2.5, 4.0])
+    faulty = evaluator.detection_times([1.0, -2.5, 4.0], faulty={0})
+
+Ratio profiles ``K(x)`` come from
+:func:`~repro.simulation.sweep.target_sweep`, competitive ratios from
+:func:`~repro.simulation.adversary.measure_competitive_ratio`; both
+evaluate through :meth:`BatchEvaluator.search_times` by default.
 """
 
 from repro.batch.compile import (

@@ -12,10 +12,13 @@ exactly the quantities the per-target paths compute:
 * :meth:`BatchEvaluator.search_times` — worst-case ``T_{f+1}(x)`` per
   target (the adversary corrupts the first ``f`` visitors);
 * :meth:`BatchEvaluator.detection_times` — detection under an explicit
-  crash-detection fault set (column min over reliable robots);
-* :meth:`BatchEvaluator.ratio_profile` / :meth:`BatchEvaluator.estimate`
-  — ratio profiles and worst-case CR estimates compatible with
-  :class:`~repro.simulation.adversary.CompetitiveRatioEstimator`.
+  crash-detection fault set (column min over reliable robots).
+
+Ratio profiles and competitive ratios come from
+:func:`~repro.simulation.sweep.target_sweep` and
+:class:`~repro.simulation.adversary.CompetitiveRatioEstimator`, whose
+default batch method evaluates through
+:meth:`BatchEvaluator.search_times`.
 
 The event engine remains the semantic oracle — the parity harness
 (:func:`repro.parity.run_parity_harness`) and the property suite hold this module to
@@ -38,23 +41,27 @@ from repro.batch.kernels import (
 from repro.errors import InvalidParameterError
 from repro.observability import instrument as obs
 from repro.robots.fleet import Fleet
-from repro.simulation.metrics import (
-    CompetitiveRatioEstimate,
-    RatioProfile,
-    RatioSample,
-)
 
 __all__ = ["BatchEvaluator"]
 
 
 def _resolve_fleet(source, fault_budget: Optional[int]):
-    """Source-to-fleet resolution shared with ``measure_competitive_ratio``."""
+    """``(fleet, fault_budget)`` from a fleet, an algorithm (whose own
+    ``f`` is the default budget) or trajectories; shared with
+    ``measure_competitive_ratio``."""
     if isinstance(source, Fleet):
-        return source, fault_budget
-    if hasattr(source, "build"):
-        budget = fault_budget if fault_budget is not None else source.f
-        return Fleet.from_algorithm(source), budget
-    return Fleet.from_trajectories(source), fault_budget
+        fleet = source
+    elif hasattr(source, "build"):
+        fleet = Fleet.from_algorithm(source)
+        if fault_budget is None:
+            fault_budget = source.f
+    else:
+        fleet = Fleet.from_trajectories(source)
+    if fault_budget is None:
+        raise InvalidParameterError(
+            "fault_budget is required when source is not a SearchAlgorithm"
+        )
+    return fleet, fault_budget
 
 
 class BatchEvaluator:
@@ -64,7 +71,7 @@ class BatchEvaluator:
         fleet: The robots under evaluation (crash-detection semantics:
             a faulty robot traverses but never detects).
         fault_budget: Default worst-case fault count ``f`` used by
-            :meth:`search_times` and the ratio methods.
+            :meth:`search_times`.
 
     Args:
         source: A :class:`~repro.robots.fleet.Fleet`, a
@@ -72,8 +79,6 @@ class BatchEvaluator:
             iterable of trajectories.
         fault_budget: Defaults to the algorithm's own ``f`` when
             ``source`` is an algorithm; otherwise required.
-        backend: ``None`` or ``"pure"``, the only kernels; any other
-            name raises :class:`~repro.errors.InvalidParameterError`.
 
     Examples:
         >>> from repro.schedule import ProportionalAlgorithm
@@ -85,22 +90,8 @@ class BatchEvaluator:
         True
     """
 
-    def __init__(
-        self,
-        source,
-        fault_budget: Optional[int] = None,
-        backend: Optional[str] = None,
-    ) -> None:
-        if backend not in (None, "pure"):
-            raise InvalidParameterError(
-                f"batch backend {backend!r} was removed; the pure kernels "
-                "are the only batch path (pass backend=None or 'pure')"
-            )
+    def __init__(self, source, fault_budget: Optional[int] = None) -> None:
         fleet, budget = _resolve_fleet(source, fault_budget)
-        if budget is None:
-            raise InvalidParameterError(
-                "fault_budget is required when source is not a SearchAlgorithm"
-            )
         if budget < 0:
             raise InvalidParameterError(
                 f"fault budget must be >= 0, got {budget}"
@@ -211,76 +202,6 @@ class BatchEvaluator:
             row = min_excluding_rows(rows, excluded)
         obs.count("batch_points_total", len(targets))
         return self._unsorted(row, order)
-
-    # ------------------------------------------------------------------
-    # ratio interfaces (drop-in for the estimator outputs)
-    # ------------------------------------------------------------------
-
-    def ratio_profile(
-        self,
-        targets: Sequence[float],
-        fault_budget: Optional[int] = None,
-    ) -> RatioProfile:
-        """``K(x) = T_{f+1}(x) / |x|`` over an explicit grid.
-
-        Examples:
-            >>> from repro.schedule import ProportionalAlgorithm
-            >>> evaluator = BatchEvaluator(ProportionalAlgorithm(3, 1))
-            >>> profile = evaluator.ratio_profile([1.0, 1.5, 2.0])
-            >>> len(profile.samples)
-            3
-        """
-        for x in targets:
-            if x == 0.0:
-                raise InvalidParameterError(
-                    "ratio is undefined at the origin"
-                )
-        times = self.search_times(targets, fault_budget)
-        return RatioProfile(
-            [RatioSample(float(x), t) for x, t in zip(targets, times)]
-        )
-
-    def estimate(
-        self,
-        x_max: float = 200.0,
-        min_distance: float = 1.0,
-        grid_points: int = 64,
-        turn_horizon_factor: float = 8.0,
-    ) -> CompetitiveRatioEstimate:
-        """Worst-case competitive ratio over the estimator's probe set.
-
-        Uses the exact candidate-target generation of
-        :class:`~repro.simulation.adversary.CompetitiveRatioEstimator`
-        (boundaries, just-past-turning-point probes, geometric safety
-        grid) but evaluates the whole probe set through the batch
-        kernels in one pass.
-
-        Examples:
-            >>> from repro.schedule import ProportionalAlgorithm
-            >>> alg = ProportionalAlgorithm(3, 1)
-            >>> est = BatchEvaluator(alg).estimate()
-            >>> est.matches(alg.theoretical_competitive_ratio())
-            True
-        """
-        from repro.simulation.adversary import CompetitiveRatioEstimator
-
-        estimator = CompetitiveRatioEstimator(
-            self.fleet,
-            self.fault_budget,
-            min_distance=min_distance,
-            x_max=x_max,
-            grid_points=grid_points,
-            turn_horizon_factor=turn_horizon_factor,
-        )
-        targets = estimator.candidate_targets()
-        profile = self.ratio_profile(targets)
-        witness = profile.supremum
-        return CompetitiveRatioEstimate(
-            value=witness.ratio,
-            witness=witness,
-            samples_evaluated=len(profile.samples),
-            x_max=x_max,
-        )
 
     def describe(self) -> str:
         """One-line summary."""

@@ -173,6 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb_ratio.add_argument("n", type=int)
     pb_ratio.add_argument("f", type=int)
     pb_ratio.add_argument("--x-max", type=float, default=200.0)
+    pb_ratio.set_defaults(beta=None)
 
     pb_sweep = batch_sub.add_parser(
         "sweep", help="ratio profile over a geometric target grid"
@@ -589,20 +590,16 @@ def _cmd_info(args: argparse.Namespace) -> str:
 
 
 def _make_algorithm(n: int, f: int, beta: Optional[float] = None):
-    from repro.baselines import TwoGroupAlgorithm
     from repro.core import SearchParameters
-    from repro.schedule import CustomBetaAlgorithm, ProportionalAlgorithm
+    from repro.schedule import CustomBetaAlgorithm, algorithm_for
 
-    params = SearchParameters(n, f)
-    if params.is_proportional:
-        if beta is not None:
-            return CustomBetaAlgorithm(n, f, beta)
-        return ProportionalAlgorithm(n, f)
-    if beta is not None:
+    if beta is None:
+        return algorithm_for(n, f)
+    if not SearchParameters(n, f).is_proportional:
         raise LineSearchError(
             "--beta only applies in the proportional regime f < n < 2f+2"
         )
-    return TwoGroupAlgorithm(n, f)
+    return CustomBetaAlgorithm(n, f, beta)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
@@ -789,25 +786,13 @@ def _emit_report(report, path: Optional[str], passed: bool = True):
 
 
 def _cmd_batch(args: argparse.Namespace):
-    from repro.batch import BatchEvaluator
-
     if args.batch_command == "ratio":
-        from repro.schedule import algorithm_for
-
-        algorithm = algorithm_for(args.n, args.f)
-        estimate = BatchEvaluator(algorithm).estimate(x_max=args.x_max)
-        theory = algorithm.theoretical_competitive_ratio()
-        lines = [algorithm.describe(), estimate.describe()]
-        if theory is not None:
-            lines.append(
-                f"agreement with closed form: {estimate.matches(theory)}"
-            )
-        return "\n".join(lines)
+        return _cmd_ratio(args)
 
     if args.batch_command == "sweep":
         from repro.robots import Fleet
         from repro.schedule import algorithm_for
-        from repro.simulation.sweep import geometric_grid
+        from repro.simulation.sweep import geometric_grid, target_sweep
 
         if args.points < 2:
             raise LineSearchError("--points must be >= 2")
@@ -815,10 +800,7 @@ def _cmd_batch(args: argparse.Namespace):
         fleet = Fleet.from_algorithm(algorithm)
         grid = geometric_grid(1.0, args.x_max, args.points)
         targets = grid + [-x for x in grid]
-        profile = BatchEvaluator(fleet, fault_budget=args.f).ratio_profile(
-            targets
-        )
-        worst = profile.supremum
+        worst = target_sweep(fleet, args.f, targets).supremum
         return "\n".join(
             [
                 algorithm.describe(),

@@ -19,15 +19,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.baselines.group_doubling import GroupDoubling
 from repro.baselines.naive import DelayedGroupDoubling, SplitDoubling
-from repro.baselines.two_group import TwoGroupAlgorithm
 from repro.core.optimal import optimal_beta
 from repro.core.parameters import SearchParameters
 from repro.errors import InvalidParameterError
 from repro.experiments.report import render_table
-from repro.robots.fleet import Fleet
-from repro.schedule.algorithm import ProportionalAlgorithm
+from repro.schedule import algorithm_for
 from repro.schedule.base import SearchAlgorithm
-from repro.simulation.adversary import CompetitiveRatioEstimator
+from repro.simulation.adversary import measure_competitive_ratio
 from repro.simulation.sweep import SweepPoint, beta_sweep
 
 __all__ = [
@@ -105,16 +103,12 @@ class BaselineRow:
 
 
 def _algorithms_for(n: int, f: int) -> List[SearchAlgorithm]:
-    params = SearchParameters(n, f)
-    algorithms: List[SearchAlgorithm] = []
-    if params.is_proportional:
-        algorithms.append(ProportionalAlgorithm(n, f))
-    if params.n >= 2 * params.f + 2:
-        algorithms.append(TwoGroupAlgorithm(n, f))
-    algorithms.append(GroupDoubling(n, f))
-    algorithms.append(SplitDoubling(n, f))
-    algorithms.append(DelayedGroupDoubling(n, f, delay=1.0))
-    return algorithms
+    return [
+        algorithm_for(n, f),
+        GroupDoubling(n, f),
+        SplitDoubling(n, f),
+        DelayedGroupDoubling(n, f, delay=1.0),
+    ]
 
 
 def run_baseline_comparison(
@@ -135,10 +129,9 @@ def run_baseline_comparison(
     rows: List[BaselineRow] = []
     for n, f in pairs:
         for algorithm in _algorithms_for(n, f):
-            estimator = CompetitiveRatioEstimator(
-                Fleet.from_algorithm(algorithm), fault_budget=f, x_max=x_max
-            )
-            measured = estimator.estimate().value
+            measured = measure_competitive_ratio(
+                algorithm, f, x_max=x_max
+            ).value
             rows.append(
                 BaselineRow(
                     algorithm=algorithm.name,

@@ -26,7 +26,7 @@ from repro.extensions.multi_speed import MultiSpeedProportionalAlgorithm
 from repro.extensions.scaled_copies import ScaledCopiesAlgorithm
 from repro.extensions.turn_cost import TurnCostProportionalAlgorithm
 from repro.robots.fleet import Fleet
-from repro.simulation.adversary import CompetitiveRatioEstimator
+from repro.simulation.adversary import measure_competitive_ratio
 
 __all__ = [
     "ScaledCopiesRow",
@@ -44,13 +44,9 @@ __all__ = [
 
 
 def _measure(algorithm, f: int, min_distance: float, x_max: float) -> float:
-    estimator = CompetitiveRatioEstimator(
-        Fleet.from_algorithm(algorithm),
-        fault_budget=f,
-        min_distance=min_distance,
-        x_max=x_max,
-    )
-    return estimator.estimate().value
+    return measure_competitive_ratio(
+        algorithm, f, x_max=x_max, min_distance=min_distance
+    ).value
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,8 @@ from repro.core.asymptotics import asymptotic_cr, odd_critical_cr
 from repro.core.competitive_ratio import algorithm_competitive_ratio
 from repro.errors import InvalidParameterError
 from repro.experiments.report import render_table
-from repro.robots.fleet import Fleet
 from repro.schedule.algorithm import ProportionalAlgorithm
-from repro.simulation.adversary import CompetitiveRatioEstimator
+from repro.simulation.adversary import measure_competitive_ratio
 
 __all__ = [
     "ConvergencePoint",
@@ -87,11 +86,9 @@ def figure5_left(
             f = (n - 1) // 2
             theorem1 = algorithm_competitive_ratio(n, f)
             if measure:
-                algorithm = ProportionalAlgorithm(n, f)
-                estimator = CompetitiveRatioEstimator(
-                    Fleet.from_algorithm(algorithm), f, x_max=x_max
-                )
-                measured = estimator.estimate().value
+                measured = measure_competitive_ratio(
+                    ProportionalAlgorithm(n, f), f, x_max=x_max
+                ).value
         points.append(
             Figure5LeftPoint(
                 n=n,

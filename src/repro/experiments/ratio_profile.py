@@ -17,6 +17,7 @@ from repro.core.competitive_ratio import algorithm_competitive_ratio
 from repro.errors import InvalidParameterError
 from repro.robots.fleet import Fleet
 from repro.schedule.algorithm import ProportionalAlgorithm
+from repro.simulation.sweep import target_sweep
 from repro.viz.ascii_art import line_chart
 
 __all__ = ["RatioProfileResult", "run_ratio_profile", "render_ratio_profile"]
@@ -68,13 +69,12 @@ def run_ratio_profile(
     turning_points = [r**j for j in range(periods * n + 1)]
 
     xs: List[float] = []
-    ratios: List[float] = []
     for tau, nxt in zip(turning_points, turning_points[1:]):
         for i in range(samples_per_interval):
             frac = i / samples_per_interval
             x = tau * (1 + 1e-9) if i == 0 else tau + frac * (nxt - tau)
             xs.append(x)
-            ratios.append(fleet.competitive_ratio_at(x, f))
+    ratios = target_sweep(fleet, f, xs).ratios()
     return RatioProfileResult(
         n=n,
         f=f,

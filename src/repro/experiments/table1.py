@@ -19,15 +19,13 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.baselines.two_group import TwoGroupAlgorithm
 from repro.core.competitive_ratio import competitive_ratio
 from repro.core.lower_bound import lower_bound
 from repro.core.optimal import optimal_expansion_factor
 from repro.core.parameters import SearchParameters
 from repro.experiments.report import render_table
-from repro.robots.fleet import Fleet
-from repro.schedule.algorithm import ProportionalAlgorithm
-from repro.simulation.adversary import CompetitiveRatioEstimator
+from repro.schedule import algorithm_for
+from repro.simulation.adversary import measure_competitive_ratio
 
 __all__ = ["PAPER_TABLE1", "Table1Row", "run_table1", "render_table1"]
 
@@ -85,15 +83,7 @@ class Table1Row:
 
 def _measure(n: int, f: int, x_max: float) -> Optional[float]:
     """Measure the empirical CR of this library's algorithm for (n, f)."""
-    params = SearchParameters(n, f)
-    if params.is_proportional:
-        algorithm = ProportionalAlgorithm(n, f)
-    else:
-        algorithm = TwoGroupAlgorithm(n, f)
-    estimator = CompetitiveRatioEstimator(
-        Fleet.from_algorithm(algorithm), fault_budget=f, x_max=x_max
-    )
-    return estimator.estimate().value
+    return measure_competitive_ratio(algorithm_for(n, f), f, x_max=x_max).value
 
 
 def run_table1(

@@ -27,8 +27,10 @@ suprema are identical across intervals (proof of Lemma 5).
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence
 
+from repro.batch.evaluate import BatchEvaluator, _resolve_fleet
 from repro.errors import InvalidParameterError
 from repro.robots.fleet import Fleet
 from repro.simulation.metrics import (
@@ -40,6 +42,67 @@ __all__ = ["CompetitiveRatioEstimator", "measure_competitive_ratio"]
 
 #: Relative offset used to probe "just past" a turning point.
 _JUST_PAST = 1e-9
+
+
+def _ratio_profile(
+    fleet: Fleet,
+    fault_budget: int,
+    targets: Sequence[float],
+    method: str,
+    scheduler=None,
+    seed: int = 0,
+) -> RatioProfile:
+    """``K(x)`` over ``targets``: the one dispatch behind
+    :func:`~repro.simulation.sweep.target_sweep` and
+    :class:`CompetitiveRatioEstimator` (see ``target_sweep`` for the
+    arguments)."""
+    if method not in ("event", "batch"):
+        raise InvalidParameterError(
+            f"method must be 'event' or 'batch', got {method!r}"
+        )
+    if scheduler is not None and method == "batch":
+        raise InvalidParameterError(
+            "method='batch' cannot be combined with an activation "
+            "scheduler; the batch kernels have no notion of wall time"
+        )
+    if any(x == 0.0 for x in targets):
+        raise InvalidParameterError("ratio is undefined at the origin")
+    if scheduler is not None:
+        from repro.async_sched.engine import EventEngine
+        from repro.async_sched.schedulers import (
+            ActivationScheduler,
+            scheduler_from_spec,
+        )
+        from repro.robots.faults import AdversarialFaults
+
+        if not isinstance(scheduler, ActivationScheduler):
+            scheduler = scheduler_from_spec(scheduler)
+        samples = [
+            RatioSample(
+                float(x),
+                EventEngine(
+                    fleet,
+                    x,
+                    scheduler=scheduler,
+                    fault_model=AdversarialFaults(fault_budget),
+                    seed=seed,
+                )
+                .run(with_events=False)
+                .detection_time,
+            )
+            for x in targets
+        ]
+    elif method == "batch":
+        times = BatchEvaluator(fleet, fault_budget=fault_budget).search_times(
+            targets
+        )
+        samples = [RatioSample(float(x), t) for x, t in zip(targets, times)]
+    else:
+        samples = [
+            RatioSample(x, fleet.worst_case_detection_time(x, fault_budget))
+            for x in targets
+        ]
+    return RatioProfile(samples)
 
 
 class CompetitiveRatioEstimator:
@@ -57,12 +120,8 @@ class CompetitiveRatioEstimator:
             ``turn_horizon_factor * x_max`` — enough to see every turn at
             ``|position| <= x_max`` for any algorithm whose turn times
             grow at most linearly with position (all algorithms here).
-        method: ``"batch"`` (default) routes whole probe sets through
-            :class:`~repro.batch.evaluate.BatchEvaluator` (one
-            dependency-free kernel pass, results bit-identical to the
-            per-target engine); ``"event"``
-            evaluates each probe with the per-target visit machinery
-            (the oracle).
+        method: ``"batch"`` (default) or ``"event"``, as in
+            :func:`~repro.simulation.sweep.target_sweep`.
 
     Examples:
         >>> from repro.schedule import ProportionalAlgorithm
@@ -89,6 +148,17 @@ class CompetitiveRatioEstimator:
             raise InvalidParameterError(
                 f"fault budget must be >= 0, got {fault_budget}"
             )
+        # nan slips through every comparison below, and an infinite
+        # turn horizon overflows the turning-point enumeration.
+        for name, value in (
+            ("min distance", min_distance),
+            ("x_max", x_max),
+            ("turn_horizon_factor * x_max", turn_horizon_factor * x_max),
+        ):
+            if not math.isfinite(value):
+                raise InvalidParameterError(
+                    f"{name} must be finite, got {value!r}"
+                )
         if min_distance <= 0:
             raise InvalidParameterError(
                 f"min distance must be positive, got {min_distance}"
@@ -105,10 +175,6 @@ class CompetitiveRatioEstimator:
             raise InvalidParameterError(
                 f"turn_horizon_factor must be > 1, got {turn_horizon_factor}"
             )
-        if method not in ("event", "batch"):
-            raise InvalidParameterError(
-                f"method must be 'event' or 'batch', got {method!r}"
-            )
         self.fleet = fleet
         self.fault_budget = fault_budget
         self.min_distance = float(min_distance)
@@ -116,7 +182,6 @@ class CompetitiveRatioEstimator:
         self.grid_points = grid_points
         self.turn_horizon_factor = float(turn_horizon_factor)
         self.method = method
-        self._batch_evaluator = None
 
     # ------------------------------------------------------------------
     # candidate generation
@@ -163,32 +228,16 @@ class CompetitiveRatioEstimator:
     # measurement
     # ------------------------------------------------------------------
 
-    def _batch(self):
-        """The lazily built batch evaluator (``method="batch"`` only)."""
-        if self._batch_evaluator is None:
-            from repro.batch import BatchEvaluator
-
-            self._batch_evaluator = BatchEvaluator(
-                self.fleet, fault_budget=self.fault_budget
-            )
-        return self._batch_evaluator
-
     def ratio_at(self, x: float) -> RatioSample:
         """Evaluate ``K(x)`` (worst-case over fault assignments)."""
-        if self.method == "batch":
-            t = self._batch().search_times([x])[0]
-        else:
-            t = self.fleet.worst_case_detection_time(x, self.fault_budget)
-        return RatioSample(x=x, detection_time=t)
+        return self.profile([x]).samples[0]
 
     def profile(self, targets: Optional[Sequence[float]] = None) -> RatioProfile:
         """``K`` evaluated over ``targets`` (default: all candidates)."""
         xs = list(targets) if targets is not None else self.candidate_targets()
         if not xs:
             raise InvalidParameterError("no targets to probe")
-        if self.method == "batch":
-            return self._batch().ratio_profile(xs)
-        return RatioProfile([self.ratio_at(x) for x in xs])
+        return _ratio_profile(self.fleet, self.fault_budget, xs, self.method)
 
     def estimate(self) -> CompetitiveRatioEstimate:
         """Measure the competitive ratio over the probed target set."""
@@ -225,19 +274,7 @@ def measure_competitive_ratio(
         >>> round(est.value, 6)
         9.0
     """
-    fleet: Fleet
-    if isinstance(source, Fleet):
-        fleet = source
-    elif hasattr(source, "build"):
-        fleet = Fleet.from_algorithm(source)
-        if fault_budget is None:
-            fault_budget = source.f
-    else:
-        fleet = Fleet.from_trajectories(source)
-    if fault_budget is None:
-        raise InvalidParameterError(
-            "fault_budget is required when source is not a SearchAlgorithm"
-        )
+    fleet, fault_budget = _resolve_fleet(source, fault_budget)
     estimator = CompetitiveRatioEstimator(
         fleet, fault_budget, x_max=x_max, **kwargs
     )

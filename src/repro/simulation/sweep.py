@@ -26,8 +26,11 @@ from repro.observability import instrument as obs
 from repro.robots.fleet import Fleet
 from repro.schedule.algorithm import ProportionalAlgorithm
 from repro.schedule.generalized import CustomBetaAlgorithm
-from repro.simulation.adversary import CompetitiveRatioEstimator
-from repro.simulation.metrics import RatioProfile, RatioSample
+from repro.simulation.adversary import (
+    _ratio_profile,
+    measure_competitive_ratio,
+)
+from repro.simulation.metrics import RatioProfile
 
 __all__ = [
     "SweepPoint",
@@ -119,7 +122,7 @@ def target_sweep(
     Args:
         fleet: The robots under test.
         fault_budget: Worst-case fault count ``f``.
-        targets: Target grid (any order).
+        targets: Target grid (any order; ``K`` is undefined at 0).
         method: ``"batch"`` routes the whole grid through
             :class:`~repro.batch.evaluate.BatchEvaluator`: one
             dependency-free kernel pass, results bit-identical to the
@@ -157,58 +160,12 @@ def target_sweep(
         raise InvalidParameterError("targets must be non-empty")
     if method is None:
         method = "event" if scheduler is not None else "batch"
-    if method not in ("event", "batch"):
-        raise InvalidParameterError(
-            f"method must be 'event' or 'batch', got {method!r}"
-        )
-    if scheduler is not None and method == "batch":
-        raise InvalidParameterError(
-            "method='batch' cannot be combined with an activation "
-            "scheduler; the batch kernels have no notion of wall time"
-        )
     with obs.span("sweep.target_sweep", points=len(targets), method=method):
-        if scheduler is not None:
-            from repro.async_sched.engine import EventEngine
-            from repro.async_sched.schedulers import (
-                ActivationScheduler,
-                scheduler_from_spec,
-            )
-            from repro.robots.faults import AdversarialFaults
-
-            if not isinstance(scheduler, ActivationScheduler):
-                scheduler = scheduler_from_spec(scheduler)
-            samples = [
-                RatioSample(
-                    float(x),
-                    EventEngine(
-                        fleet,
-                        x,
-                        scheduler=scheduler,
-                        fault_model=AdversarialFaults(fault_budget),
-                        seed=seed,
-                    )
-                    .run(with_events=False)
-                    .detection_time,
-                )
-                for x in targets
-            ]
-        elif method == "batch":
-            from repro.batch import BatchEvaluator
-
-            evaluator = BatchEvaluator(fleet, fault_budget=fault_budget)
-            times = evaluator.search_times(targets)
-            samples = [
-                RatioSample(float(x), t) for x, t in zip(targets, times)
-            ]
-        else:
-            samples = [
-                RatioSample(
-                    x, fleet.worst_case_detection_time(x, fault_budget)
-                )
-                for x in targets
-            ]
+        profile = _ratio_profile(
+            fleet, fault_budget, targets, method, scheduler, seed
+        )
     obs.count("sweep_points_total", len(targets))
-    return RatioProfile(samples)
+    return profile
 
 
 def beta_sweep(
@@ -236,11 +193,9 @@ def beta_sweep(
             theoretical = schedule_competitive_ratio(beta, n, f)
             measured = None
             if measure:
-                algorithm = CustomBetaAlgorithm(n, f, beta)
-                estimator = CompetitiveRatioEstimator(
-                    Fleet.from_algorithm(algorithm), f, x_max=x_max
-                )
-                measured = estimator.estimate().value
+                measured = measure_competitive_ratio(
+                    CustomBetaAlgorithm(n, f, beta), f, x_max=x_max
+                ).value
             points.append(SweepPoint(beta, theoretical, measured))
     obs.count("sweep_points_total", len(betas))
     return points
@@ -268,11 +223,9 @@ def fleet_size_sweep(
             theoretical = algorithm_competitive_ratio(n, f)
             measured = None
             if measure:
-                algorithm = ProportionalAlgorithm(n, f)
-                estimator = CompetitiveRatioEstimator(
-                    Fleet.from_algorithm(algorithm), f, x_max=x_max
-                )
-                measured = estimator.estimate().value
+                measured = measure_competitive_ratio(
+                    ProportionalAlgorithm(n, f), f, x_max=x_max
+                ).value
             points.append(SweepPoint(float(n), theoretical, measured))
     obs.count("sweep_points_total", len(pairs))
     return points

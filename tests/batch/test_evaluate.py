@@ -8,7 +8,11 @@ from repro.batch import BatchEvaluator, cache
 from repro.errors import InvalidParameterError
 from repro.robots import Fleet
 from repro.schedule import ProportionalAlgorithm
-from repro.simulation import CompetitiveRatioEstimator
+from repro.simulation import (
+    CompetitiveRatioEstimator,
+    measure_competitive_ratio,
+    target_sweep,
+)
 from repro.simulation.sweep import geometric_grid
 from repro.trajectory import DoublingTrajectory, LinearTrajectory
 
@@ -23,7 +27,7 @@ def fresh_cache(monkeypatch):
 
 @pytest.fixture
 def evaluator_3_1(fresh_cache):
-    return BatchEvaluator(ProportionalAlgorithm(3, 1), backend="pure")
+    return BatchEvaluator(ProportionalAlgorithm(3, 1))
 
 
 class TestConstruction:
@@ -47,20 +51,6 @@ class TestConstruction:
     def test_negative_budget_rejected(self):
         with pytest.raises(InvalidParameterError, match=">= 0"):
             BatchEvaluator(ProportionalAlgorithm(3, 1), fault_budget=-1)
-
-    def test_pure_backend_accepted(self):
-        for backend in (None, "pure"):
-            evaluator = BatchEvaluator(
-                ProportionalAlgorithm(3, 1), backend=backend
-            )
-            assert evaluator.search_times([2.0]) == BatchEvaluator(
-                ProportionalAlgorithm(3, 1)
-            ).search_times([2.0])
-
-    def test_removed_backends_rejected(self):
-        for backend in ("numpy", "fortran"):
-            with pytest.raises(InvalidParameterError, match="removed"):
-                BatchEvaluator(ProportionalAlgorithm(3, 1), backend=backend)
 
     def test_unkeyed_fleet_keeps_a_private_cache(self, fresh_cache):
         evaluator = BatchEvaluator(
@@ -150,26 +140,34 @@ class TestDetectionTimes:
 
 
 class TestRatioInterfaces:
+    """The ratio interfaces over these search times: ``target_sweep``
+    and the estimator, whose batch method reads :meth:`search_times`."""
+
     def test_profile_matches_estimator(self, evaluator_3_1):
         estimator = CompetitiveRatioEstimator(
-            evaluator_3_1.fleet, 1, x_max=40.0
+            evaluator_3_1.fleet, 1, x_max=40.0, method="event"
         )
         xs = geometric_grid(1.0, 40.0, 15)
-        batch_profile = evaluator_3_1.ratio_profile(xs)
+        batch_profile = target_sweep(evaluator_3_1.fleet, 1, xs)
         event_profile = estimator.profile(xs)
         for a, b in zip(batch_profile.samples, event_profile.samples):
             assert a.ratio == pytest.approx(b.ratio, rel=1e-9)
 
     def test_origin_rejected(self, evaluator_3_1):
+        fleet = evaluator_3_1.fleet
         with pytest.raises(InvalidParameterError, match="origin"):
-            evaluator_3_1.ratio_profile([1.0, 0.0])
+            target_sweep(fleet, 1, [1.0, 0.0])
+        with pytest.raises(InvalidParameterError, match="origin"):
+            target_sweep(fleet, 1, [1.0, 0.0], method="event")
+        with pytest.raises(InvalidParameterError, match="origin"):
+            CompetitiveRatioEstimator(fleet, 1).profile([1.0, 0.0])
 
     def test_estimate_matches_theory_and_event_estimator(self):
         algorithm = ProportionalAlgorithm(3, 1)
-        batch_est = BatchEvaluator(algorithm, backend="pure").estimate()
+        batch_est = measure_competitive_ratio(algorithm)
         assert batch_est.matches(algorithm.theoretical_competitive_ratio())
         event_est = CompetitiveRatioEstimator(
-            Fleet.from_algorithm(algorithm), 1
+            Fleet.from_algorithm(algorithm), 1, method="event"
         ).estimate()
         assert batch_est.value == pytest.approx(event_est.value, rel=1e-9)
 

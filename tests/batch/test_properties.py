@@ -40,7 +40,7 @@ def targets_strategy(max_size=8):
 def test_search_times_match_fleet_oracle(regime, targets):
     n, f = regime
     algorithm = algorithm_for(n, f)
-    evaluator = BatchEvaluator(algorithm, backend="pure")
+    evaluator = BatchEvaluator(algorithm)
     fleet = Fleet.from_algorithm(algorithm)
     batch = evaluator.search_times(targets)
     for x, t in zip(targets, batch):
@@ -60,7 +60,7 @@ def test_search_times_match_fleet_oracle(regime, targets):
 def test_explicit_fault_sets_match_engine(regime, targets, data):
     n, f = regime
     algorithm = algorithm_for(n, f)
-    evaluator = BatchEvaluator(algorithm, backend="pure")
+    evaluator = BatchEvaluator(algorithm)
     fleet = Fleet.from_algorithm(algorithm)
     size = data.draw(st.integers(min_value=0, max_value=f))
     faulty = tuple(
@@ -92,7 +92,7 @@ def test_search_times_monotone_in_budget(regime, targets, budget_shift):
     # More faults can only delay detection: T_{k+1} >= T_k per target.
     n, f = regime
     k = max(0, f + budget_shift)
-    evaluator = BatchEvaluator(algorithm_for(n, f), backend="pure")
+    evaluator = BatchEvaluator(algorithm_for(n, f))
     lower = evaluator.search_times(targets, fault_budget=k)
     higher = evaluator.search_times(targets, fault_budget=k + 1)
     for a, b in zip(lower, higher):

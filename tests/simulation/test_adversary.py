@@ -1,5 +1,7 @@
 """Unit tests for the empirical competitive-ratio estimator."""
 
+import math
+
 import pytest
 
 from repro.baselines.two_group import TwoGroupAlgorithm
@@ -23,6 +25,23 @@ class TestEstimatorValidation:
             CompetitiveRatioEstimator(fleet_3_1, 1, grid_points=-1)
         with pytest.raises(InvalidParameterError):
             CompetitiveRatioEstimator(fleet_3_1, 1, turn_horizon_factor=1.0)
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            {"x_max": math.nan},
+            {"x_max": math.inf},
+            # finite, but 8 * 1e308 overflows the turn horizon
+            {"x_max": 1e308},
+            {"min_distance": math.nan},
+            {"turn_horizon_factor": math.nan},
+            {"turn_horizon_factor": math.inf},
+        ],
+        ids=lambda window: "-".join(f"{k}={v}" for k, v in window.items()),
+    )
+    def test_non_finite_window_rejected(self, fleet_3_1, window):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            CompetitiveRatioEstimator(fleet_3_1, 1, **window)
 
 
 class TestCandidates:

@@ -80,6 +80,26 @@ class TestRatio:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "command", [["ratio"], ["batch", "ratio"]], ids=["ratio", "batch"]
+    )
+    @pytest.mark.parametrize("x_max", ["nan", "inf", "1e308"])
+    def test_non_finite_window_exits_2(self, capsys, command, x_max):
+        code, out, err = run_cli(
+            capsys, *command, "3", "1", "--x-max", x_max
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "must be finite" in err
+
+    def test_batch_ratio_prints_what_ratio_prints(self, capsys):
+        _, plain, _ = run_cli(capsys, "ratio", "3", "1", "--x-max", "40")
+        code, batch, _ = run_cli(
+            capsys, "batch", "ratio", "3", "1", "--x-max", "40"
+        )
+        assert code == 0
+        assert batch == plain
+
 
 class TestDiagramAndLowerbound:
     def test_single_figure(self, capsys):

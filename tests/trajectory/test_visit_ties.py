@@ -15,7 +15,7 @@ import pytest
 from repro.baselines import TwoGroupAlgorithm
 from repro.batch import BatchEvaluator
 from repro.robots import AdversarialFaults, Fleet
-from repro.simulation import SearchSimulation
+from repro.simulation import SearchSimulation, target_sweep
 from repro.simulation.events import DetectionEvent, TargetVisitEvent
 from repro.trajectory.linear import LinearTrajectory
 from repro.trajectory.visits import (
@@ -80,23 +80,17 @@ class TestEnginePathTies:
 
 
 class TestBatchPathTies:
-    @pytest.mark.parametrize("backend", ["pure"])
-    def test_batch_matches_engine_under_full_tie(self, backend):
-        trajectories = tied_fleet(3)
-        evaluator = BatchEvaluator(
-            trajectories, fault_budget=2, backend=backend
-        )
+    def test_batch_matches_engine_under_full_tie(self):
+        evaluator = BatchEvaluator(tied_fleet(3), fault_budget=2)
         assert evaluator.search_times([2.0]) == [2.0]
         assert evaluator.search_times([2.0], fault_budget=3) == [math.inf]
 
     def test_batch_two_group_ratio_one(self):
-        evaluator = BatchEvaluator(TwoGroupAlgorithm(4, 1), backend="pure")
-        profile = evaluator.ratio_profile([1.0, -2.0, 5.0])
+        fleet = Fleet.from_algorithm(TwoGroupAlgorithm(4, 1))
+        profile = target_sweep(fleet, 1, [1.0, -2.0, 5.0], method="batch")
         assert profile.ratios() == [1.0, 1.0, 1.0]
 
     def test_batch_detection_excluding_tied_robots(self):
-        evaluator = BatchEvaluator(
-            tied_fleet(3), fault_budget=2, backend="pure"
-        )
+        evaluator = BatchEvaluator(tied_fleet(3), fault_budget=2)
         assert evaluator.detection_times([2.0], {0, 1}) == [2.0]
         assert evaluator.detection_times([2.0], {0, 1, 2}) == [math.inf]
