@@ -11,6 +11,10 @@ results.  :class:`CampaignExecutor` replaces it with:
   processes (``jobs=N``).  Spec-built scenarios are pickled by value;
   scenarios whose factories cannot be pickled (ad-hoc closures) fall
   back to in-process execution and are documented as such.
+* **Fleet groups** — before anything runs, the spec-built scenarios
+  that the batch kernels take are evaluated one fleet group at a time
+  (:mod:`repro.robustness.plan`).  Their outcomes are recorded
+  in-process, scenario by scenario, and never cross to a worker.
 * **Watchdog timeouts** — each dispatch carries a wall-clock deadline.
   An overdue worker is killed and the scenario is recorded as a
   structured :class:`~repro.errors.ScenarioTimeoutError` failure; the
@@ -60,6 +64,7 @@ from repro.robustness.campaign import (
     error_class_of,
 )
 from repro.robustness.journal import CampaignJournal
+from repro.robustness.plan import _grouped_outcomes
 
 __all__ = [
     "CampaignExecutor",
@@ -144,9 +149,15 @@ class RetryPolicy:
 # ----------------------------------------------------------------------
 
 def _attempt_payload(
-    scenario: Scenario, check_invariants: bool, telemetry: bool = False
+    scenario: Scenario,
+    check_invariants: bool,
+    telemetry: bool = False,
+    outcome: Any = None,
 ) -> Dict[str, Any]:
     """Run one attempt and flatten the outcome into a picklable dict.
+
+    A ready ``outcome`` (the fleet-grouped batch route's) stands in for
+    the run.
 
     With ``telemetry=True`` (the worker-process path) the attempt runs
     under a *fresh* in-memory :class:`~repro.observability.instrument.
@@ -170,9 +181,10 @@ def _attempt_payload(
             seed=scenario.spec.seed,
         ) as attempt_span:
             try:
-                outcome = variant_for(scenario.spec.variant).run(
-                    scenario, check_invariants
-                )
+                if outcome is None:
+                    outcome = variant_for(scenario.spec.variant).run(
+                        scenario, check_invariants
+                    )
             except Exception as exc:
                 attempt_span.set(error=error_class_of(exc))
                 payload: Dict[str, Any] = {
@@ -383,8 +395,8 @@ class CampaignExecutor:
         the same seeded grid produce identical reports.
 
         Args:
-            stop_check: polled between scenarios (and on every pool
-                sweep); returning ``True`` stops the campaign the same
+            stop_check: polled between scenarios, between fleet
+                groups and on every pool sweep; returning ``True`` stops the campaign the same
                 way a SIGTERM does — journal checkpoint, then
                 :class:`~repro.errors.CampaignInterrupted` with the
                 partial report.  This is how the serving layer
@@ -434,11 +446,19 @@ class CampaignExecutor:
                     obs.gauge_set(
                         "campaign_scenarios_resumed", len(completed)
                     )
+                ready = _grouped_outcomes(
+                    remaining, check_invariants, self._stopping
+                )
                 if self.jobs == 1 and self.timeout is None:
-                    self._run_inline(remaining, check_invariants, record)
+                    self._run_inline(
+                        remaining, check_invariants, record, ready
+                    )
                 else:
                     pooled, inline = [], []
                     for index, scenario in remaining:
+                        if index in ready:
+                            inline.append((index, scenario))
+                            continue
                         try:
                             blob = pickle.dumps(scenario)
                         except Exception:
@@ -446,9 +466,10 @@ class CampaignExecutor:
                         else:
                             pooled.append(_Task(index, scenario, blob))
                     self._run_pool(pooled, check_invariants, record)
-                    # ad-hoc scenarios (unpicklable factories) cannot cross a
-                    # process boundary; they run here without a watchdog
-                    self._run_inline(inline, check_invariants, record)
+                    # ready outcomes and ad-hoc scenarios (unpicklable
+                    # factories) never cross a process boundary; they
+                    # run here without a watchdog
+                    self._run_inline(inline, check_invariants, record, ready)
                 if self._stopping():
                     self._checkpoint_and_interrupt(
                         journal, results, len(scenarios)
@@ -544,7 +565,7 @@ class CampaignExecutor:
 
     # -- in-process execution ------------------------------------------
 
-    def _run_inline(self, tasks, check_invariants, record) -> None:
+    def _run_inline(self, tasks, check_invariants, record, ready) -> None:
         for index, scenario in tasks:
             if self._stopping():
                 return
@@ -561,7 +582,10 @@ class CampaignExecutor:
             ) as scenario_span:
                 while True:
                     attempts += 1
-                    payload = _attempt_payload(scenario, check_invariants)
+                    payload = _attempt_payload(
+                        scenario, check_invariants,
+                        outcome=ready.pop(index, None),
+                    )
                     if payload["ok"]:
                         result = _result_from_payload(
                             scenario, payload, attempts, errors

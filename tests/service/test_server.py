@@ -28,6 +28,7 @@ from repro.service import (
     parse_submission,
 )
 from repro.robustness.campaign import build_scenario
+from repro.service import server
 from repro.service.queueing import Job
 
 
@@ -419,7 +420,30 @@ class TestResources:
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
     )
-    def test_served_jobs_leak_no_file_descriptors(self, tmp_path):
+    def test_served_jobs_leak_no_file_descriptors(self, tmp_path, monkeypatch):
+        # Connections the server accepted and has not closed yet: a
+        # handler thread closes its socket only after the client has
+        # read the reply, so the count must reach 0 before sampling.
+        connections = [0]
+        changed = threading.Condition()
+        process_request = server._HTTPServer.process_request
+        shutdown_request = server._HTTPServer.shutdown_request
+
+        def counted_process(httpd, request, client_address):
+            with changed:
+                connections[0] += 1
+            process_request(httpd, request, client_address)
+
+        def counted_shutdown(httpd, request):
+            shutdown_request(httpd, request)
+            with changed:
+                connections[0] -= 1
+                changed.notify_all()
+
+        monkeypatch.setattr(server._HTTPServer, "process_request",
+                            counted_process)
+        monkeypatch.setattr(server._HTTPServer, "shutdown_request",
+                            counted_shutdown)
         service, client = _start(tmp_path)
 
         def serve(seed):
@@ -429,6 +453,8 @@ class TestResources:
             assert client.result(job_id)["state"] == "done"
 
         def open_fds():
+            with changed:
+                assert changed.wait_for(lambda: connections[0] == 0, 5.0)
             return len(os.listdir("/proc/self/fd"))
 
         try:
@@ -436,7 +462,7 @@ class TestResources:
             before = open_fds()
             for seed in range(1, 51):
                 serve(seed)
-            # handler threads close their sockets just after replying
+            # give the last job's own files a moment to close too
             deadline = time.monotonic() + 5.0
             while open_fds() != before and time.monotonic() < deadline:
                 time.sleep(0.02)
