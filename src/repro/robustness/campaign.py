@@ -488,6 +488,20 @@ def build_scenario(
     )
 
 
+def _spec_built(scenario: Scenario) -> bool:
+    """Whether ``scenario``'s factory is the one :func:`build_scenario`
+    makes: its spec's variant's ``realize``, bound to that spec."""
+    from repro.variants import variant_for
+
+    build = scenario.build
+    return (
+        isinstance(build, functools.partial)
+        and build.args == (scenario.spec,)
+        and not build.keywords
+        and build.func == variant_for(scenario.spec.variant).realize
+    )
+
+
 def chaos_scenarios(
     pairs: Sequence[Tuple[int, int]],
     targets: Sequence[float],
