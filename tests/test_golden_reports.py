@@ -1,8 +1,8 @@
 """Golden-file regression tests for deterministic experiment reports.
 
-The closed-form experiments, every registered experiment report and the
-CR-degradation sweep's JSON are fully deterministic, so they are pinned
-byte-for-byte.  A diff here means either an
+The closed-form experiments, every registered experiment report, the
+CR-degradation sweep's JSON and the scheduled-time campaign reports are
+fully deterministic, so they are pinned byte-for-byte.  A diff here means either an
 intentional formula/rendering change (regenerate the files, see below)
 or a regression.
 
@@ -13,6 +13,7 @@ Regenerate after an intentional change::
 """
 
 import functools
+import json
 import os
 
 import pytest
@@ -22,6 +23,49 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 #: Registered experiments whose report is pinned under another name
 #: (both print ``render_asymptotics(run_asymptotics())``).
 _PINNED_AS_ASYMPTOTICS = ("corollary1", "corollary2")
+
+#: Scheduled-time campaigns, pinned one report line per scenario: every
+#: scheduler kind at non-dyadic (0.3, 0.1, 0.7) and, where the quantum
+#: can matter, dyadic (0.5, 0.125) quanta, with and without the
+#: confirmation protocol.  Some targets sit on quantum boundaries (1.5,
+#: 2.1, 2.8, 3.5).
+_SCHEDULED_CAMPAIGNS = (
+    ("event:adversarial:1.0:0.3", "none"),
+    ("event:adversarial:2.0:0.125", "none"),
+    ("event:async:0.5:0.1", "none"),
+    ("event:async:1.0:0.5", "none"),
+    ("event:ssync:0.5:0.3", "none"),
+    ("event:ssync:0.3:0.5", "none"),
+    ("event:fsync:0.7", "none"),
+    ("event:adversarial:1.0:0.3", "confirmation"),
+    ("event:async:0.5:0.1", "confirmation"),
+    ("event:ssync:0.5:0.3", "confirmation"),
+)
+_SCHEDULED_TARGETS = (1.0, -1.5, 2.1, -2.8, 3.5, -20.0)
+_SCHEDULED_FAULTS = ("adversarial", "crash_stop:1.5", "byzantine", "random")
+
+
+def _scheduled_campaign(mode, protocol):
+    from repro.robustness import chaos_scenarios, run_campaign
+
+    pairs = (
+        [(3, 1), (5, 2), (7, 3)]  # the protocol needs n >= 2f + 1
+        if protocol == "confirmation"
+        else [(3, 1), (4, 2), (5, 2)]
+    )
+    scenarios = chaos_scenarios(
+        pairs,
+        _SCHEDULED_TARGETS,
+        faults=_SCHEDULED_FAULTS,
+        seed=2016,
+        protocol=protocol,
+        mode=mode,
+    )
+    report = run_campaign(scenarios).to_dict()
+    results = report.pop("results")
+    return "\n".join(
+        json.dumps(entry, sort_keys=True) for entry in [report] + results
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -61,6 +105,11 @@ def _current_reports():
             3, 1, speeds=(1, 0.8, 0.6)
         ).to_json(),
     }
+    for mode, protocol in _SCHEDULED_CAMPAIGNS:
+        name = "campaign_" + mode.replace("event:", "").replace(":", "_")
+        if protocol != "none":
+            name += f"_{protocol}"
+        reports[f"{name}.jsonl"] = _scheduled_campaign(mode, protocol)
     for name, art in all_diagrams().items():
         reports[f"diagram_{name}.txt"] = art
     for experiment_id in experiment_ids():
