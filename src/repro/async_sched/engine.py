@@ -66,8 +66,9 @@ class AsyncRunRecord:
         wall_detection_times: The same instants mapped to wall time.
         delays: Cumulative idle delay each robot had accrued at its
             genuine detection instant (``None`` where undefined).
-        activations: Total activation bursts materialized across all
-            robot timelines.
+        activations: Activation quanta spanned by the runs materialized
+            across all robot timelines (each timeline's materialized plan
+            time over the scheduler quantum).
     """
 
     scheduler: str
@@ -97,6 +98,16 @@ def timelines_for(
         Timeline(scheduler.slices(i, context))
         for i in range(len(context.plans))
     ]
+
+
+def _quanta(timelines: Sequence[Timeline], quantum: float) -> int:
+    """Activation quanta the timelines' materialized runs span."""
+    total = 0
+    for timeline in timelines:
+        bursts = timeline.bursts
+        if bursts:
+            total += round(bursts[-1][1] / quantum)
+    return total
 
 
 class EventEngine:
@@ -236,7 +247,7 @@ class EventEngine:
                     timelines[i].offset_at(t) if t is not None else None
                     for i, t in enumerate(plan_genuine)
                 ),
-                activations=sum(len(tl.bursts) for tl in timelines),
+                activations=_quanta(timelines, self.scheduler.quantum),
             )
             if self.check_invariants:
                 from repro.async_sched.invariants import check_async_outcome

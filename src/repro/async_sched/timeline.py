@@ -1,12 +1,16 @@
-"""Per-robot wall-clock ↔ plan-time maps built from scheduler slices.
+"""Per-robot wall-clock ↔ plan-time maps built from scheduler runs.
 
 The event engine separates *what* a robot does (its analytic plan
 trajectory, parameterized by **plan time**) from *when* it gets to do it
 (the activation schedule, parameterized by **wall time**).  A
 :class:`Timeline` is the bridge: a lazy, monotone, piecewise-linear map
-assembled from the ``(gap, burst)`` slices an activation scheduler
+assembled from the ``(gap, plan_end)`` runs an activation scheduler
 yields for one robot.  During a gap the robot is frozen (plan time does
-not advance); during a burst plan time advances 1:1 with wall time.
+not advance); during the burst that follows, plan time advances 1:1
+with wall time up to ``plan_end``.  A zero-gap run extends the previous
+burst, since both share one offset, so the stored bursts — and the
+bisects every query makes — scale with the scheduler's decisions, not
+with the number of activation quanta.
 
 Exactness contract (the FSYNC parity harness depends on it): the wall
 time of a plan instant inside burst ``k`` is computed as
@@ -14,7 +18,12 @@ time of a plan instant inside burst ``k`` is computed as
 gaps* before that burst — never as ``burst_start_wall + (plan_t - τ)``,
 which would round differently.  When every gap is ``0.0`` the offset is
 exactly ``0.0`` and ``plan_t + 0.0`` is bit-identical to ``plan_t``, so
-an FSYNC timeline reproduces continuous-engine times exactly.
+an FSYNC timeline reproduces continuous-engine times exactly.  The
+schedulers end every run that precedes a gap at the float a
+one-quantum-at-a-time schedule reaches (see
+:mod:`repro.async_sched.schedulers`), so ``wall_of``, ``plan_of`` and
+``offset_at`` return the same floats as a timeline holding one burst
+per quantum.
 """
 
 from __future__ import annotations
@@ -27,37 +36,32 @@ from repro.errors import InvalidParameterError, SimulationError
 
 __all__ = ["Timeline"]
 
-#: Slices a single :meth:`Timeline.ensure_plan`/``ensure_wall`` call may
-#: pull before giving up — a guard against a quantum so small relative
-#: to the horizon that materializing the timeline would never finish.
-_MAX_SLICES = 2_000_000
-
 
 class Timeline:
-    """Lazy wall↔plan map for one robot, fed by scheduler slices.
+    """Lazy wall↔plan map for one robot, fed by scheduler runs.
 
     Args:
-        slices: Iterator of ``(gap, burst)`` pairs — wall-time idle gap
-            (``>= 0``) followed by an active burst advancing plan time
-            by ``burst`` (``> 0``).  Must be effectively infinite: the
-            timeline pulls as many slices as its queries need.
+        runs: Iterator of ``(gap, plan_end)`` runs — a wall-time idle
+            gap (finite, ``>= 0``) followed by an active burst that
+            advances plan time up to ``plan_end`` (finite, past the
+            previous run's end).  Must be effectively infinite: the
+            timeline pulls as many runs as its queries need.
 
     Examples:
-        >>> from itertools import repeat
-        >>> fsync = Timeline(repeat((0.0, 0.5)))
+        >>> fsync = Timeline((0.0, 0.5 * 2**k) for k in range(60))
         >>> fsync.wall_of(3.7)
         3.7
-        >>> delayed = Timeline(iter([(1.0, 0.5), (0.0, 0.5)] * 100))
+        >>> delayed = Timeline(iter([(1.0, 0.5), (0.0, 100.0)]))
         >>> delayed.wall_of(0.25)   # one gap of 1.0 before the burst
         1.25
         >>> delayed.plan_of(0.5)    # still idle at wall 0.5
         0.0
     """
 
-    __slots__ = ("_slices", "_plan_ends", "_wall_ends", "_offsets")
+    __slots__ = ("_runs", "_plan_ends", "_wall_ends", "_offsets")
 
-    def __init__(self, slices: Iterable[Tuple[float, float]]) -> None:
-        self._slices: Iterator[Tuple[float, float]] = iter(slices)
+    def __init__(self, runs: Iterable[Tuple[float, float]]) -> None:
+        self._runs: Iterator[Tuple[float, float]] = iter(runs)
         #: Plan time at the end of burst ``k`` (strictly increasing).
         self._plan_ends: List[float] = []
         #: Wall time at the end of burst ``k`` (= plan end + offset).
@@ -71,51 +75,41 @@ class Timeline:
 
     def _pull(self) -> None:
         try:
-            gap, burst = next(self._slices)
+            gap, plan_end = next(self._runs)
         except StopIteration:
             raise SimulationError(
-                "activation scheduler exhausted its slices; schedulers "
-                "must yield (gap, burst) pairs forever"
+                "activation scheduler exhausted its runs; schedulers "
+                "must yield (gap, plan_end) runs forever"
             ) from None
         if not (math.isfinite(gap) and gap >= 0.0):
             raise InvalidParameterError(
                 f"activation gap must be finite and >= 0, got {gap!r}"
             )
-        if not (math.isfinite(burst) and burst > 0.0):
+        previous = self._plan_ends[-1] if self._plan_ends else 0.0
+        if not (math.isfinite(plan_end) and plan_end > previous):
             raise InvalidParameterError(
-                f"activation burst must be finite and > 0, got {burst!r}"
+                "activation run must end at a finite plan time past "
+                f"{previous!r}, got {plan_end!r}"
             )
+        if gap == 0.0 and self._plan_ends:
+            # Same offset on both sides: the run extends the last burst.
+            self._plan_ends[-1] = plan_end
+            self._wall_ends[-1] = plan_end + self._offsets[-1]
+            return
         offset = (self._offsets[-1] if self._offsets else 0.0) + gap
-        plan_end = (self._plan_ends[-1] if self._plan_ends else 0.0) + burst
         self._offsets.append(offset)
         self._plan_ends.append(plan_end)
         self._wall_ends.append(plan_end + offset)
 
     def ensure_plan(self, plan_t: float) -> None:
-        """Materialize bursts until plan time ``plan_t`` is covered."""
-        pulls = 0
+        """Materialize runs until plan time ``plan_t`` is covered."""
         while not self._plan_ends or self._plan_ends[-1] < plan_t:
-            if pulls >= _MAX_SLICES:
-                raise SimulationError(
-                    f"timeline needed more than {_MAX_SLICES} slices to "
-                    f"reach plan time {plan_t:g}; the scheduler quantum "
-                    "is too small for this horizon"
-                )
             self._pull()
-            pulls += 1
 
     def ensure_wall(self, wall_t: float) -> None:
-        """Materialize bursts until wall time ``wall_t`` is covered."""
-        pulls = 0
+        """Materialize runs until wall time ``wall_t`` is covered."""
         while not self._wall_ends or self._wall_ends[-1] < wall_t:
-            if pulls >= _MAX_SLICES:
-                raise SimulationError(
-                    f"timeline needed more than {_MAX_SLICES} slices to "
-                    f"reach wall time {wall_t:g}; the scheduler quantum "
-                    "is too small for this horizon"
-                )
             self._pull()
-            pulls += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -165,7 +159,8 @@ class Timeline:
 
     @property
     def bursts(self) -> Tuple[Tuple[float, float, float], ...]:
-        """Materialized ``(plan_start, plan_end, offset)`` bursts."""
+        """Materialized ``(plan_start, plan_end, offset)`` bursts; runs
+        joined by a zero gap form one burst."""
         out = []
         start = 0.0
         for end, offset in zip(self._plan_ends, self._offsets):

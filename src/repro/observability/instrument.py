@@ -103,7 +103,7 @@ WELL_KNOWN_METRICS = {
             "fleet compilations into batch segment arrays",
         "async_runs_total": "discrete-event engine runs executed",
         "async_activations_total":
-            "activation bursts materialized across event-engine timelines",
+            "activation quanta spanned by event-engine timelines",
         "async_sweep_points_total":
             "CR-degradation sweep points evaluated",
         "variants_runs_total": "problem-variant scenario runs executed",

@@ -398,7 +398,7 @@ def _dsl_engine(fleet: Callable[[int, int], Fleet], seed: int) -> Runner:
 
     def run(n: int, f: int, target: float, fault: str):
         spec = ScenarioSpec(n=n, f=f, target=target, fault=fault, seed=seed)
-        return _engine(fleet(n, f), target, _fault_model_for(spec)[0])
+        return _engine(fleet(n, f), target, _fault_model_for(spec))
 
     return run
 
@@ -523,7 +523,7 @@ def run_async_parity(
             fleet(n, f),
             target,
             scheduler=FsyncScheduler(quantum),
-            fault_model=_fault_model_for(spec)[0],
+            fault_model=_fault_model_for(spec),
             seed=seed,
         ).run(with_events=False)
         return outcome.detection_time, outcome.detecting_robot

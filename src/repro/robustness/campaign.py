@@ -111,6 +111,10 @@ FAULT_KINDS = (
     "probabilistic",
 )
 
+#: Fault kinds whose outcome depends on a seeded draw; their scenarios
+#: get the executor's retry (:attr:`Scenario.stochastic`).
+_STOCHASTIC_FAULT_KINDS = ("random", "probabilistic")
+
 #: Termination protocols understood by :class:`ScenarioSpec`.
 PROTOCOLS = ("none", "confirmation")
 
@@ -400,56 +404,47 @@ class CampaignReport:
 # spec realization
 # ----------------------------------------------------------------------
 
-def _fault_model_for(spec: ScenarioSpec) -> Tuple[FaultModel, bool]:
-    """Realize the fault spec string; returns ``(model, stochastic)``."""
+def _fault_model_for(spec: ScenarioSpec) -> FaultModel:
+    """Realize the fault spec string."""
     kind, _, argument = spec.fault.partition(":")
     seed = spec.seed
     if kind == "none":
-        return AdversarialFaults(0), False
+        return AdversarialFaults(0)
     if kind == "adversarial":
-        return AdversarialFaults(spec.f), False
+        return AdversarialFaults(spec.f)
     if kind == "random":
-        return RandomFaults(spec.f, seed=seed), True
+        return RandomFaults(spec.f, seed=seed)
     if kind == "fixed":
         if argument:
             indices = [int(i) for i in argument.split(",")]
         else:
             indices = list(range(spec.f))
-        return FixedFaults(indices), False
+        return FixedFaults(indices)
     if kind == "crash_stop":
         halt = float(argument) if argument else 2.0
-        return (
-            BehavioralFaults(
-                {i: CrashStopFault(halt * (i + 1)) for i in range(spec.f)}
-            ),
-            False,
+        return BehavioralFaults(
+            {i: CrashStopFault(halt * (i + 1)) for i in range(spec.f)}
         )
     if kind == "byzantine":
         alarms = (
             [float(t) for t in argument.split(";")] if argument else [0.5, 1.5]
         )
-        return (
-            BehavioralFaults(
-                {i: ByzantineFalseAlarmFault(alarms) for i in range(spec.f)}
-            ),
-            False,
+        return BehavioralFaults(
+            {i: ByzantineFalseAlarmFault(alarms) for i in range(spec.f)}
         )
     if kind == "byzantine_adversarial":
         alarms = (
             [float(t) for t in argument.split(";")] if argument else [0.5, 1.5]
         )
-        return ByzantineAdversary(spec.f, alarm_times=alarms), False
+        return ByzantineAdversary(spec.f, alarm_times=alarms)
     if kind == "probabilistic":
         p = float(argument) if argument else 0.5
         base = seed if seed is not None else 0
-        return (
-            BehavioralFaults(
-                {
-                    i: ProbabilisticDetectionFault(p, seed=base + i)
-                    for i in range(spec.f)
-                }
-            ),
-            True,
+        return BehavioralFaults(
+            {
+                i: ProbabilisticDetectionFault(p, seed=base + i)
+                for i in range(spec.f)
+            }
         )
     raise InvalidParameterError(
         f"unknown fault kind {kind!r}; kinds: {', '.join(FAULT_KINDS)}"
@@ -479,11 +474,10 @@ def build_scenario(
             f"method must be None, 'event' or 'batch', got {method!r}"
         )
     validate_spec(spec)
-    _, stochastic = _fault_model_for(spec)
     return Scenario(
         spec=spec,
         build=functools.partial(variant_for(spec.variant).realize, spec),
-        stochastic=stochastic,
+        stochastic=spec.fault.partition(":")[0] in _STOCHASTIC_FAULT_KINDS,
         method=method,
     )
 

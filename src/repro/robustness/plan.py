@@ -273,7 +273,7 @@ def _grouped_outcomes(
             fleet, _ = members[0][1].build()
             outcomes = _batch_outcomes(
                 fleet,
-                [(_fault_model_for(scenario.spec)[0], scenario.spec.target)
+                [(_fault_model_for(scenario.spec), scenario.spec.target)
                  for _, scenario in members],
             )
         except Exception:

@@ -297,7 +297,7 @@ class EvacuationVariant(ProblemVariant):
         from repro.robustness.campaign import _fault_model_for
         from repro.schedule.byzantine import ByzantineConfirmationAlgorithm
 
-        model, _ = _fault_model_for(spec)
+        model = _fault_model_for(spec)
         algorithm = ByzantineConfirmationAlgorithm(spec.n, spec.f)
         return Fleet.from_algorithm(algorithm), model
 

@@ -84,7 +84,7 @@ class HalfLineVariant(ProblemVariant):
     def realize(self, spec: Any) -> Tuple[Any, Any]:
         from repro.robustness.campaign import _fault_model_for
 
-        model, _ = _fault_model_for(spec)
+        model = _fault_model_for(spec)
         side = 1 if spec.target >= 0 else -1
         algorithm = HalfLineAlgorithm(spec.n, spec.f, side=side)
         return Fleet.from_algorithm(algorithm), model

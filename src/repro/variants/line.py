@@ -44,7 +44,7 @@ class LineVariant(ProblemVariant):
     def realize(self, spec: Any) -> Tuple[Any, Any]:
         from repro.robustness.campaign import _fault_model_for
 
-        model, _ = _fault_model_for(spec)
+        model = _fault_model_for(spec)
         if spec.protocol == "confirmation":
             algorithm = ByzantineConfirmationAlgorithm(spec.n, spec.f)
         else:

@@ -1,5 +1,12 @@
-"""Unit tests for the activation schedulers and the spec grammar."""
+"""Unit tests for the activation schedulers and the spec grammar.
 
+Schedulers emit ``(gap, plan_end)`` runs.  :func:`quanta` expands them
+back into one ``(gap, lo, hi)`` window per activation quantum, summing
+quanta from ``0.0`` one at a time, and checks on the way that every run
+ends on such a sum.
+"""
+
+import time
 from itertools import islice
 
 import pytest
@@ -13,19 +20,43 @@ from repro.async_sched.schedulers import (
     SsyncScheduler,
     scheduler_from_spec,
 )
-from repro.errors import InvalidParameterError
+from repro.async_sched.engine import EventEngine
+from repro.async_sched.timeline import Timeline
+from repro.errors import InvalidParameterError, SimulationError
+from repro.robots import Fleet
 from repro.schedule.algorithm import ProportionalAlgorithm
+from repro.simulation import SearchSimulation
+from repro.trajectory.halted import HaltedTrajectory
+from repro.trajectory.linear import LinearTrajectory
 
 
 def context_for(n=3, f=1, target=2.0, seed=0):
     return SchedulerContext(ProportionalAlgorithm(n, f).build(), target, seed)
 
 
+def quanta(runs, quantum):
+    """Per-quantum ``(gap, lo, hi)`` windows of a run stream; a run's
+    gap falls before its first quantum."""
+    plan_t = 0.0
+    for gap, plan_end in runs:
+        while plan_t < plan_end:
+            nxt = plan_t + quantum
+            yield (gap, plan_t, nxt)
+            gap = 0.0
+            plan_t = nxt
+        assert plan_t == plan_end, "run does not end on a quantum boundary"
+
+
 class TestFsync:
     def test_zero_gaps(self):
         sched = FsyncScheduler(quantum=0.5)
-        slices = list(islice(sched.slices(0, context_for()), 10))
-        assert slices == [(0.0, 0.5)] * 10
+        runs = list(islice(sched.slices(0, context_for()), 10))
+        assert all(gap == 0.0 for gap, _ in runs)
+        ends = [end for _, end in runs]
+        assert ends == sorted(set(ends)) and ends[0] == 0.5
+        timeline = Timeline(sched.slices(0, context_for()))
+        for t in (0.1 + 0.2, 0.5, 3.7, 1e4):
+            assert timeline.wall_of(t).hex() == t.hex()
 
 
 class TestSsync:
@@ -45,8 +76,10 @@ class TestSsync:
 
     def test_fairness_cap_bounds_gaps(self):
         sched = SsyncScheduler(p=0.01, quantum=1.0, max_idle_rounds=4)
-        slices = list(islice(sched.slices(0, context_for(seed=3)), 50))
-        assert all(gap <= 4.0 for gap, _ in slices)
+        runs = list(islice(sched.slices(0, context_for(seed=3)), 50))
+        assert all(gap <= 4.0 for gap, _ in runs)
+        # one run per active round
+        assert [end for _, end in runs] == [float(k) for k in range(1, 51)]
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -75,35 +108,49 @@ class TestAsync:
         # Same seed: every gap scales linearly with max_delay.
         small = AsyncScheduler(max_delay=0.5, quantum=0.5)
         large = AsyncScheduler(max_delay=2.0, quantum=0.5)
-        gaps_small = [
-            g for g, _ in islice(small.slices(0, context_for(seed=5)), 30)
-        ]
-        gaps_large = [
-            g for g, _ in islice(large.slices(0, context_for(seed=5)), 30)
-        ]
-        for gs, gl in zip(gaps_small, gaps_large):
+        runs_small = list(islice(small.slices(0, context_for(seed=5)), 30))
+        runs_large = list(islice(large.slices(0, context_for(seed=5)), 30))
+        for (gs, es), (gl, el) in zip(runs_small, runs_large):
             assert gl == pytest.approx(4.0 * gs)
+            assert es == el
+        # one run per quantum: each draw is a decision
+        assert len(list(quanta(runs_small, 0.5))) == 30
 
     def test_zero_delay_is_fsync(self):
         sched = AsyncScheduler(max_delay=0.0, quantum=0.5)
-        slices = list(islice(sched.slices(0, context_for()), 10))
-        assert slices == [(0.0, 0.5)] * 10
+        runs = list(islice(sched.slices(0, context_for()), 10))
+        fsync = FsyncScheduler(quantum=0.5).slices(0, context_for())
+        assert runs == list(islice(fsync, 10))
+        assert all(gap == 0.0 for gap, _ in runs)
 
 
 class TestAdversarial:
     def test_delays_only_target_windows(self):
-        sched = AdversarialScheduler(max_delay=1.0, quantum=0.5)
+        ctx = context_for(n=3, f=1, target=2.0)
+        for quantum in (0.5, 0.3):
+            sched = AdversarialScheduler(max_delay=1.0, quantum=quantum)
+            delayed = 0
+            for robot in range(3):
+                plan = ctx.plans[robot]
+                windows = quanta(sched.slices(robot, ctx), quantum)
+                for gap, lo, hi in islice(windows, 40):
+                    visits = any(t > lo for t in plan.visit_times(2.0, hi))
+                    assert gap == (1.0 if visits else 0.0), (robot, lo)
+                    delayed += visits
+            assert delayed > 0
+
+    def test_a_delayed_quantum_is_its_own_run(self):
+        sched = AdversarialScheduler(max_delay=1.0, quantum=0.3)
         ctx = context_for(n=3, f=1, target=2.0)
         for robot in range(3):
-            plan_t = 0.0
-            for gap, burst in islice(sched.slices(robot, ctx), 40):
-                expected = (
-                    1.0
-                    if ctx.window_has_visit(robot, plan_t, plan_t + burst)
-                    else 0.0
-                )
-                assert gap == expected, (robot, plan_t)
-                plan_t += burst
+            runs = list(islice(sched.slices(robot, ctx), 12))
+            start = 0.0
+            for index, (gap, end) in enumerate(runs):
+                if gap > 0.0:
+                    assert end == start + 0.3
+                else:  # zero-gap runs end right before a delayed one
+                    assert runs[index + 1][0] > 0.0
+                start = end
 
     def test_uncovering_robot_never_delayed(self):
         # A robot whose plan never reaches the target gets zero gaps.
@@ -114,6 +161,65 @@ class TestAdversarial:
             if not covers:
                 slices = list(islice(sched.slices(robot, ctx), 20))
                 assert all(gap == 0.0 for gap, _ in slices)
+
+
+class TestNextVisit:
+    def test_agrees_with_visit_times(self):
+        ctx = context_for(n=3, f=1, target=-1.5)
+        for robot, plan in enumerate(ctx.plans):
+            visits = plan.visit_times(-1.5, 400.0)
+            for after in [0.0, 0.3, 7.0, 33.3] + visits:
+                expected = next((t for t in visits if t > after), None)
+                assert ctx.next_visit(robot, after, 400.0) == expected
+            assert ctx.next_visit(robot, visits[-1], 1e6) > 400.0
+
+    def test_limit_bounds_the_search(self):
+        ctx = context_for(n=3, f=1, target=2.0)
+        first = ctx.plans[0].first_visit_time(2.0)
+        assert ctx.next_visit(0, 0.0, first) == first
+        assert ctx.next_visit(0, 0.0, first - 1e-9) is None
+
+    def test_plans_without_further_visits_terminate(self):
+        plans = [
+            HaltedTrajectory(ProportionalAlgorithm(3, 1).build()[0], 9.0),
+            LinearTrajectory(1),  # covers 2.0, visits it once
+            LinearTrajectory(-1),  # never covers 2.0
+        ]
+        ctx = SchedulerContext(plans, 2.0, 0)
+        for robot in range(3):
+            visits = plans[robot].visit_times(2.0, 50.0)
+            last = visits[-1] if visits else 0.0
+            assert ctx.next_visit(robot, last, 1e12) is None
+        assert ctx.next_visit(1, 0.0, 1e12) == 2.0
+
+
+class TestQuantumBudget:
+    """A quantum far too small for its horizon fails fast."""
+
+    @staticmethod
+    def seconds_to_refuse(scheduler):
+        fleet = Fleet.from_algorithm(ProportionalAlgorithm(3, 1))
+        started = time.perf_counter()
+        with pytest.raises(SimulationError, match="quantum is too small"):
+            EventEngine(fleet, 50.0, scheduler=scheduler).run()
+        return time.perf_counter() - started
+
+    def test_adversarial_raises(self):
+        scheduler = AdversarialScheduler(max_delay=1.0, quantum=1e-9)
+        assert self.seconds_to_refuse(scheduler) < 60.0
+
+    def test_async_raises(self):
+        scheduler = AsyncScheduler(max_delay=1.0, quantum=1e-9)
+        assert self.seconds_to_refuse(scheduler) < 60.0
+
+    def test_fsync_is_exempt(self):
+        # FSYNC runs need no per-quantum loop, so any quantum is free.
+        fleet = Fleet.from_algorithm(ProportionalAlgorithm(3, 1))
+        scheduled = EventEngine(
+            fleet, 50.0, scheduler=FsyncScheduler(quantum=1e-9)
+        ).run()
+        continuous = SearchSimulation(fleet, 50.0).run()
+        assert scheduled.detection_time == continuous.detection_time
 
 
 class TestSpecGrammar:

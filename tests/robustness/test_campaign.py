@@ -87,14 +87,14 @@ class TestScenarioGrid:
 
     def test_every_fault_kind_realizable(self):
         for kind in FAULT_KINDS:
-            model, _ = _fault_model_for(
-                ScenarioSpec(4, 2, 1.0, fault=kind, seed=3)
-            )
-            fleet, built = build_scenario(
-                ScenarioSpec(4, 2, 1.0, fault=kind, seed=3)
-            ).build()
+            spec = ScenarioSpec(4, 2, 1.0, fault=kind, seed=3)
+            model = _fault_model_for(spec)
+            scenario = build_scenario(spec)
+            fleet, built = scenario.build()
             assert fleet.size == 4
             assert built.describe()
+            # the flag comes from the kind, without realizing the model
+            assert scenario.stochastic == model.is_stochastic
 
     def test_unknown_fault_kind_rejected(self):
         with pytest.raises(InvalidParameterError):
