@@ -26,14 +26,15 @@ decision however many quanta it spans:
   monotone: for a fixed seed, raising ``max_delay`` scales every gap
   up, so competitive ratios degrade monotonically (pinned by the
   Hypothesis property suite).
-- ``ADVERSARIAL`` — a greedy target-covering adversary: it inserts the
+- ``ADVERSARIAL`` — a target-covering adversary: it inserts the
   maximal allowed delay before exactly those quanta whose plan window
   visits the target.  Its schedule is one zero-gap run up to the next
   such window, then that one delayed quantum; the next visit comes from
   a bisect over the robot's cached visit list
-  (:meth:`SchedulerContext.next_visit`).  This is the empirical worst
-  case the closed forms (and the lower bounds of arXiv:1707.05077) do
-  not cover.
+  (:meth:`SchedulerContext.next_visit`).  A robot's first visit lies in
+  its first such window, so this scheduler shifts every first visit by
+  exactly ``max_delay``: a constant shift, not a worst case (delaying
+  every quantum costs more).
 
 Exactness contract: every run that follows a nonzero gap starts at the
 same float a one-quantum-at-a-time schedule reaches — plan time summed
@@ -371,7 +372,7 @@ class AsyncScheduler(ActivationScheduler):
 
 
 class AdversarialScheduler(ActivationScheduler):
-    """Greedy target-covering adversary.
+    """Target-covering adversary.
 
     Before each quantum the adversary peeks at the robot's next plan
     window ``(p, p + quantum]``: if the plan would visit the target in
@@ -379,9 +380,10 @@ class AdversarialScheduler(ActivationScheduler):
     otherwise it runs immediately.  The quanta between two such windows
     form one zero-gap run.  The delay budget is per-activation
     (the LCM adversary may delay any activation, but each by a bounded
-    amount), so a robot heading for the target is stalled on every leg
-    that matters and untouched otherwise — the greedy worst case for
-    detection time under a bounded-delay adversary.
+    amount).  Only the window holding a robot's first visit delays that
+    visit, so every wall first visit is the plan first visit plus
+    ``max_delay``, as floats: a constant shift of the synchronous
+    detection time, not the worst case under a bounded-delay adversary.
     """
 
     kind = "adversarial"

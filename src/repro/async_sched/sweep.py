@@ -11,11 +11,13 @@ Empirical shape of the result (pinned loosely by the test suite, and
 the headline number the closed forms — including the lower bounds of
 arXiv:1707.05077 — do not cover):
 
-- the greedy target-covering **adversarial** scheduler adds an
-  *additive* penalty: each robot suffers at most ``max_delay`` per
-  delayed activation window before its first target visit, so the
-  supremum ratio grows roughly by ``(f + 1) * max_delay / |x|`` at the
-  worst target — bounded for fixed ``max_delay``;
+- the target-covering **adversarial** scheduler is a constant shift:
+  it delays only the quanta whose plan window visits the target, and a
+  robot's first visit lies in the first such window, so every robot's
+  wall first visit is its plan first visit plus ``max_delay``, as
+  floats.  Detection times therefore rise by exactly ``max_delay`` and
+  the ratio by exactly ``max_delay / |x|`` (pinned with ``==`` by the
+  test suite);
 - seeded **async** delays degrade *multiplicatively*: every quantum of
   progress pays an expected gap of ``max_delay / 2``, inflating
   detection times by roughly ``1 + max_delay / (2 * quantum)`` across

@@ -10,9 +10,10 @@ answers it for whole grids at once:
 * :mod:`repro.batch.kernels` holds the dependency-free kernels
   (envelope first-visit sweep, column order statistics) — the only
   batch backend;
-* :mod:`repro.batch.cache` keeps compiled fleets keyed on fleet
-  structure (:data:`~repro.batch.cache.FLEET_CACHE`), shared by both
-  front ends below;
+* :mod:`repro.batch.cache` is the one fleet cache
+  (:data:`~repro.batch.cache.FLEET_CACHE`): the shared trajectories
+  every variant's ``realize`` reads, and the compiled fleets both
+  front ends below read;
 * :mod:`repro.batch.evaluate` is the high-level entry point
   (:class:`BatchEvaluator`); the campaign route of
   :mod:`repro.robustness.plan` is the other reader of the cache;

@@ -370,18 +370,19 @@ class ByzantineSearchSimulation:
             VoteEvent(t_c, candidate.claimant, p, present=True)
         ]
         # Nearest pool_size robots at claim time (claimant included —
-        # it stands at the claimed point).
-        ranked = sorted(
-            range(n),
-            key=lambda i: (abs(self._position(plans, delays, i, t_c) - p), i),
-        )
+        # it stands at the claimed point); a verifier travels exactly
+        # the distance it was ranked by.
+        distance = [
+            abs(self._position(plans, delays, i, t_c) - p) for i in range(n)
+        ]
+        ranked = sorted(range(n), key=lambda i: (distance[i], i))
         pool = ranked[: self.protocol.pool_size]
         record.pool = tuple(pool)  # for diversion accounting
         arrivals = []
         for j in pool:
             if j == candidate.claimant:
                 continue
-            travel = abs(self._position(plans, delays, j, t_c) - p)
+            travel = distance[j]
             arrival = t_c + travel
             behavior = behaviors.get(j)
             if isinstance(behavior, CrashStopFault):

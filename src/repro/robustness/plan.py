@@ -23,22 +23,35 @@ structural key (:func:`repro.batch.cache.fleet_key`).  The library
 follows the table silently; the service and the CLI turn a batch
 refusal into ``bad_request`` / exit 2.
 
+Every engine reads its fleet's trajectories from the one fleet cache
+(:data:`repro.batch.cache.FLEET_CACHE`): a spec-built scenario's
+factory is its variant's ``realize``, which shares them per algorithm.
+
 A campaign does not take the batch route one scenario at a time.
 Before running anything, the executor passes its scenarios to
 :func:`_grouped_outcomes`, which groups the spec-built ``batch`` ones by
-``(n, f)``.  Each group realizes its fleet once and makes one
-:func:`_batch_outcomes` call: one compiled-fleet lookup and one
-``first_visit_row`` per robot over the group's sorted targets.
-:func:`run_plan` calls the same helper with one case, for the scenarios
-left over: ad-hoc factories, cases the kernels leave to the engine, and
-groups in which anything raised.
+``(n, f)``.  Each group reads its fleet's cache entry once, for the
+shared trajectories and then the compiled arrays, and makes one
+:func:`_batch_outcomes` call: one ``first_visit_row`` per robot over
+the group's sorted targets.  :func:`run_plan` calls the same helper
+with one case, for the scenarios left over: ad-hoc factories, cases
+the kernels leave to the engine, and groups in which anything raised.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.batch import cache
 from repro.batch.kernels import START_RTOL, first_visit_row
@@ -166,10 +179,15 @@ def _timelines(fleet: Fleet, spec: Any):
 _KERNEL_MODELS = (AdversarialFaults, FixedFaults, RandomFaults)
 
 
-def _batch_outcomes(fleet: Fleet, cases: Sequence[Tuple[FaultModel, float]]):
+def _batch_outcomes(
+    fleet: Fleet,
+    cases: Sequence[Tuple[FaultModel, float]],
+    key: Optional[Hashable] = None,
+):
     """Run ``(model, target)`` cases on ``fleet`` through the batch
     kernels; the outcome of each case, or ``None`` where the engine must
-    run it.
+    run it.  ``key`` is the fleet's cache key, its structural key
+    (:func:`repro.batch.cache.fleet_key`) by default.
 
     Only the pure crash-detection models qualify.  Behavioral models
     (crash-stop, Byzantine, probabilistic) shape trajectories or
@@ -177,8 +195,8 @@ def _batch_outcomes(fleet: Fleet, cases: Sequence[Tuple[FaultModel, float]]):
     they stay on the engine, as does a fleet without a structural key.
 
     Every case is one column of the fleet's first-visit matrix: one
-    ``first_visit_row`` per robot of the cached compiled fleet
-    (:data:`repro.batch.cache.FLEET_CACHE`), over the cases' sorted
+    ``first_visit_row`` per robot of the fleet compiled under ``key`` in
+    :data:`repro.batch.cache.FLEET_CACHE`, over the cases' sorted
     distinct targets.  The adversary corrupts the first ``f`` visitors
     by ``(time, index)`` — exactly ``visiting_order`` — so detection is
     ``T_{f+1}``; a fixed or random fault set is a minimum over the
@@ -200,9 +218,10 @@ def _batch_outcomes(fleet: Fleet, cases: Sequence[Tuple[FaultModel, float]]):
     if not eligible:
         return outcomes
     trajectories = fleet.trajectories
-    key = cache.fleet_key(trajectories)
     if key is None:
-        return outcomes
+        key = cache.fleet_key(trajectories)
+        if key is None:
+            return outcomes
     targets = sorted({target for _, _, target in eligible})
     compiled = cache.FLEET_CACHE.compiled(
         key, trajectories, max(abs(targets[0]), abs(targets[-1]))
@@ -240,22 +259,25 @@ def _grouped_outcomes(
     stopping: Callable[[], bool],
 ) -> Dict[int, SearchOutcome]:
     """The batch outcomes of ``(index, scenario)`` tasks, one fleet
-    build and one :func:`_batch_outcomes` call per fleet group.
+    cache read and one :func:`_batch_outcomes` call per fleet group.
 
     A task is taken when its plan names ``batch`` and its factory is the
     one ``build_scenario`` makes (``campaign._spec_built``); an ad-hoc
     factory is the truth about its fleet, so it stays on
     :func:`run_plan`.  Taken tasks are grouped by ``(n, f)``: a
     ``batch`` plan already fixes the protocol (none) and the variant
-    (line), so these two fields determine the fleet.  Each group
-    realizes its fleet once, from its first scenario, and each spec its
-    own fault model.  ``stopping`` is polled between groups.  A group
+    (line), so these two fields determine the fleet.  Each group takes
+    its first spec's shared trajectories and cache key from
+    :func:`repro.batch.cache.shared_trajectories`, the entry its
+    scenarios' own ``realize`` reads, and each spec realizes its own
+    fault model.  ``stopping`` is polled between groups.  A group
     where anything raises is left out whole, so its scenarios rerun one
     by one and fail exactly as they do there; so is every case
     :func:`_batch_outcomes` leaves to the engine.  Returns
     ``{index: outcome}``.
     """
     from repro.robustness.campaign import _fault_model_for, _spec_built
+    from repro.variants import variant_for
 
     groups: Dict[Tuple[int, int], List[Tuple[int, Any]]] = {}
     for index, scenario in tasks:
@@ -270,11 +292,15 @@ def _grouped_outcomes(
         if stopping():
             break
         try:
-            fleet, _ = members[0][1].build()
+            spec = members[0][1].spec
+            key, trajectories = cache.shared_trajectories(
+                *variant_for(spec.variant).algorithm(spec)
+            )
             outcomes = _batch_outcomes(
-                fleet,
+                Fleet.from_trajectories(trajectories),
                 [(_fault_model_for(scenario.spec), scenario.spec.target)
                  for _, scenario in members],
+                key,
             )
         except Exception:
             continue  # rerun one by one, each failure is reported there

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from abc import ABC, abstractmethod
 from typing import Iterator, List, Optional, Sequence
 
@@ -55,6 +56,16 @@ class Trajectory(ABC):
         self._vertices: List[SpaceTimePoint] = []
         self._segments: List[MotionSegment] = []
         self._exhausted = False
+        self._lock = threading.RLock()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_lock"]  # locks do not pickle; each copy gets its own
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # subclass interface
@@ -91,24 +102,38 @@ class Trajectory(ABC):
         return self._vertex_iter
 
     def _pull_vertex(self) -> bool:
-        """Materialize one more vertex; return False when exhausted."""
+        """Materialize one more vertex; return False when exhausted.
+
+        Threads share trajectories (a realized fleet is cached per
+        process, :mod:`repro.batch.cache`), so pulls are serialized by
+        a per-instance lock.  A pull that waited while another thread
+        added a vertex returns True without pulling: its caller then
+        re-checks how far the path reaches.  The lock is re-entrant, so
+        a vertex iterator may query its own trajectory.
+        """
         if self._exhausted:
             return False
-        try:
-            vertex = next(self._iter())
-        except StopIteration:
-            self._exhausted = True
-            return False
-        if self._vertices:
-            prev = self._vertices[-1]
-            if vertex.time < prev.time - _EPS:
-                raise TrajectoryError(
-                    f"vertex times must be non-decreasing: {prev.time} -> "
-                    f"{vertex.time} in {self.describe()}"
-                )
-            self._segments.append(MotionSegment(prev, vertex))
-        self._vertices.append(vertex)
-        return True
+        seen = len(self._vertices)
+        with self._lock:
+            if len(self._vertices) != seen:
+                return True
+            if self._exhausted:
+                return False
+            try:
+                vertex = next(self._iter())
+            except StopIteration:
+                self._exhausted = True
+                return False
+            if self._vertices:
+                prev = self._vertices[-1]
+                if vertex.time < prev.time - _EPS:
+                    raise TrajectoryError(
+                        f"vertex times must be non-decreasing: {prev.time} "
+                        f"-> {vertex.time} in {self.describe()}"
+                    )
+                self._segments.append(MotionSegment(prev, vertex))
+            self._vertices.append(vertex)
+            return True
 
     def _ensure_start(self) -> None:
         if not self._vertices and not self._pull_vertex():

@@ -4,8 +4,9 @@ A problem variant pins down the three axes a search problem statement
 can vary along:
 
 * **domain** — which schedules are admissible (the whole line, one ray,
-  ...); realized by :meth:`ProblemVariant.realize`, which builds the
-  fleet and fault model for a scenario spec;
+  ...); named by :meth:`ProblemVariant.algorithm` and realized by
+  :meth:`ProblemVariant.realize`, which builds the fleet and fault
+  model for a scenario spec;
 * **termination predicate** — when a run is over (first reliable
   detection, quorum commit, all reliable robots gathered, ...);
   realized by :meth:`ProblemVariant.run`, which executes a scenario to
@@ -22,9 +23,11 @@ Variants are stateless singletons looked up by name through
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.batch import cache
 from repro.errors import InvalidParameterError
+from repro.robots.fleet import Fleet
 from repro.robustness.plan import VARIANT_NAMES, run_plan
 
 __all__ = ["VARIANT_NAMES", "ProblemVariant", "variant_for"]
@@ -33,7 +36,7 @@ __all__ = ["VARIANT_NAMES", "ProblemVariant", "variant_for"]
 class ProblemVariant(ABC):
     """One problem statement: domain + termination predicate + objective.
 
-    Subclasses set :attr:`name` and implement :meth:`realize`; they
+    Subclasses set :attr:`name` and implement :meth:`algorithm`; they
     override :meth:`validate_spec` to refuse infeasible specs.
     Instances are stateless — the registry hands out singletons and
     scenario workers may share them freely.
@@ -51,12 +54,32 @@ class ProblemVariant(ABC):
         """
 
     @abstractmethod
+    def algorithm(self, spec: Any) -> Tuple[Callable[..., Any], Tuple]:
+        """``(constructor, args)``: the search algorithm ``spec`` picks.
+
+        This is the *domain* axis: the algorithm's trajectories define
+        which part of the line the variant searches and how.  The pair
+        is the fleet's cache key, so ``args`` must hold every spec field
+        the choice depends on, and ``constructor`` must be a module-level
+        callable.
+        """
+
     def realize(self, spec: Any) -> Tuple[Any, Any]:
         """Build the ``(fleet, fault_model)`` pair for a spec.
 
-        This is the *domain* axis: the returned fleet's trajectories
-        define which part of the line the variant searches and how.
+        The fleet and its robots are new on every call, and so is the
+        fault model, but the trajectories are shared: every spec that
+        picks the same algorithm reads them from
+        :data:`repro.batch.cache.FLEET_CACHE`, so a fleet's vertices are
+        materialized once per process.  Fault behaviours wrap a
+        trajectory and never mutate it.  An algorithm the constructor
+        refuses is never cached, so it fails the same way on every call.
         """
+        from repro.robustness.campaign import _fault_model_for
+
+        model = _fault_model_for(spec)
+        _, trajectories = cache.shared_trajectories(*self.algorithm(spec))
+        return Fleet.from_trajectories(trajectories), model
 
     def run(self, scenario: Any, check_invariants: bool = True) -> Any:
         """Execute a scenario to a :class:`~repro.simulation.metrics.SearchOutcome`.

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.byzantine.outcome import ByzantineOutcome
 from repro.byzantine.simulate import ByzantineSearchSimulation
@@ -293,13 +293,10 @@ class EvacuationVariant(ProblemVariant):
                 f"got n={spec.n}"
             )
 
-    def realize(self, spec: Any) -> Tuple[Any, Any]:
-        from repro.robustness.campaign import _fault_model_for
+    def algorithm(self, spec: Any) -> Tuple[Callable[..., Any], Tuple]:
         from repro.schedule.byzantine import ByzantineConfirmationAlgorithm
 
-        model = _fault_model_for(spec)
-        algorithm = ByzantineConfirmationAlgorithm(spec.n, spec.f)
-        return Fleet.from_algorithm(algorithm), model
+        return ByzantineConfirmationAlgorithm, (spec.n, spec.f)
 
     def run(self, scenario: Any, check_invariants: bool = True) -> Any:
         # Defined in the class body (not inherited) so benchmarks/e2e's

@@ -27,7 +27,7 @@ import json
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.expected_time import ExpectedTimeEstimate, expected_detection_time
 from repro.core.halfline import (
@@ -81,13 +81,8 @@ class HalfLineVariant(ProblemVariant):
 
     name = "halfline"
 
-    def realize(self, spec: Any) -> Tuple[Any, Any]:
-        from repro.robustness.campaign import _fault_model_for
-
-        model = _fault_model_for(spec)
-        side = 1 if spec.target >= 0 else -1
-        algorithm = HalfLineAlgorithm(spec.n, spec.f, side=side)
-        return Fleet.from_algorithm(algorithm), model
+    def algorithm(self, spec: Any) -> Tuple[Callable[..., Any], Tuple]:
+        return _one_sided, (spec.n, spec.f, 1 if spec.target >= 0 else -1)
 
     def run(self, scenario: Any, check_invariants: bool = True) -> Any:
         telemetry = obs.current()
@@ -107,6 +102,11 @@ class HalfLineVariant(ProblemVariant):
                 "variants_wall_seconds", _time.perf_counter() - started
             )
         return outcome
+
+
+def _one_sided(n: int, f: int, side: int) -> HalfLineAlgorithm:
+    """The default-gamma fleet searching the ray on ``side``."""
+    return HalfLineAlgorithm(n, f, side=side)
 
 
 def halfline_fleet(

@@ -12,9 +12,8 @@ against direct engine invocation on a seeded grid.
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any, Callable, Tuple
 
-from repro.robots.fleet import Fleet
 from repro.schedule import algorithm_for
 from repro.schedule.byzantine import ByzantineConfirmationAlgorithm
 from repro.variants.base import ProblemVariant
@@ -41,12 +40,7 @@ class LineVariant(ProblemVariant):
 
     name = "line"
 
-    def realize(self, spec: Any) -> Tuple[Any, Any]:
-        from repro.robustness.campaign import _fault_model_for
-
-        model = _fault_model_for(spec)
+    def algorithm(self, spec: Any) -> Tuple[Callable[..., Any], Tuple]:
         if spec.protocol == "confirmation":
-            algorithm = ByzantineConfirmationAlgorithm(spec.n, spec.f)
-        else:
-            algorithm = algorithm_for(spec.n, spec.f)
-        return Fleet.from_algorithm(algorithm), model
+            return ByzantineConfirmationAlgorithm, (spec.n, spec.f)
+        return algorithm_for, (spec.n, spec.f)

@@ -7,6 +7,9 @@ import pytest
 
 from repro.async_sched import run_degradation_sweep
 from repro.errors import InvalidParameterError
+from repro.robots.fleet import Fleet
+from repro.schedule import algorithm_for
+from repro.simulation import target_sweep
 
 
 class TestSweep:
@@ -102,3 +105,26 @@ class TestReport:
             "async_sweep_points_total"
         ).value()
         assert counted == 4.0
+
+
+SHIFT_PAIRS = [(n, f) for n in range(2, 8) for f in range(1, min(n, 5))]
+SHIFT_TARGETS = [
+    sign * 1.37 ** k for k in range(13) for sign in (1.0, -1.0)
+]
+
+
+@pytest.mark.parametrize(
+    "delay, quantum", [(1.0, 0.5), (1.0, 0.3), (2.0, 0.125), (0.7, 0.1)]
+)
+def test_adversarial_scheduler_is_a_constant_shift(delay, quantum):
+    """A robot's first visit lies in its first delayed window, so every
+    detection time is the synchronous one plus ``max_delay``, as floats."""
+    mode = f"event:adversarial:{delay}:{quantum}"
+    for n, f in SHIFT_PAIRS:
+        fleet = Fleet.from_algorithm(algorithm_for(n, f))
+        sync = target_sweep(fleet, f, SHIFT_TARGETS)
+        shifted = target_sweep(fleet, f, SHIFT_TARGETS, scheduler=mode)
+        assert [s.x for s in shifted.samples] == SHIFT_TARGETS
+        assert [s.detection_time for s in shifted.samples] == [
+            s.detection_time + delay for s in sync.samples
+        ], (n, f)

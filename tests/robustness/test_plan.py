@@ -407,16 +407,25 @@ def fleet_builds(monkeypatch):
     return builds
 
 
-def test_a_campaign_builds_one_fleet_per_pair(fresh_cache, fleet_builds):
+def test_a_campaign_builds_one_fleet_per_pair(
+    monkeypatch, fresh_cache, fleet_builds
+):
     def grid(**method):
         return chaos_scenarios(BATCH_PAIRS, BATCH_TARGETS, BATCH_FAULTS,
                                seed=2016, **method)
 
     event = _report(grid(method="event"))
+    assert len(fleet_builds) == len(BATCH_PAIRS)
+    # the event run warmed the shared cache: start the batch run cold
+    monkeypatch.setattr(cache, "FLEET_CACHE", cache.CompiledFleetCache())
     scenarios = grid()
     del fleet_builds[:]
     assert _report(scenarios) == event
     assert len(fleet_builds) == len(BATCH_PAIRS)
+    # a second identical campaign finds every fleet cached
+    del fleet_builds[:]
+    assert _report(grid()) == event
+    assert fleet_builds == []
 
 
 MIXED_TARGETS = [1.5, -4.0, 37.5]
