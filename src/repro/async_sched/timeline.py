@@ -10,7 +10,9 @@ not advance); during the burst that follows, plan time advances 1:1
 with wall time up to ``plan_end``.  A zero-gap run extends the previous
 burst, since both share one offset, so the stored bursts — and the
 bisects every query makes — scale with the scheduler's decisions, not
-with the number of activation quanta.
+with the number of activation quanta.  A query that needs more of the
+map pulls every run it lacks in one loop, appending to three parallel
+arrays (plan ends, wall ends, offsets) that it then bisects.
 
 Exactness contract (the FSYNC parity harness depends on it): the wall
 time of a plan instant inside burst ``k`` is computed as
@@ -73,43 +75,47 @@ class Timeline:
     # materialization
     # ------------------------------------------------------------------
 
-    def _pull(self) -> None:
-        try:
-            gap, plan_end = next(self._runs)
-        except StopIteration:
-            raise SimulationError(
-                "activation scheduler exhausted its runs; schedulers "
-                "must yield (gap, plan_end) runs forever"
-            ) from None
-        if not (math.isfinite(gap) and gap >= 0.0):
-            raise InvalidParameterError(
-                f"activation gap must be finite and >= 0, got {gap!r}"
-            )
-        previous = self._plan_ends[-1] if self._plan_ends else 0.0
-        if not (math.isfinite(plan_end) and plan_end > previous):
-            raise InvalidParameterError(
-                "activation run must end at a finite plan time past "
-                f"{previous!r}, got {plan_end!r}"
-            )
-        if gap == 0.0 and self._plan_ends:
-            # Same offset on both sides: the run extends the last burst.
-            self._plan_ends[-1] = plan_end
-            self._wall_ends[-1] = plan_end + self._offsets[-1]
-            return
-        offset = (self._offsets[-1] if self._offsets else 0.0) + gap
-        self._offsets.append(offset)
-        self._plan_ends.append(plan_end)
-        self._wall_ends.append(plan_end + offset)
+    def _extend(self, ends: List[float], limit: float) -> None:
+        """Pull runs until ``ends`` (the plan or the wall ends) reaches
+        ``limit``, all in this one loop."""
+        plan_ends, wall_ends, offsets = (
+            self._plan_ends, self._wall_ends, self._offsets
+        )
+        while not ends or ends[-1] < limit:
+            try:
+                gap, plan_end = next(self._runs)
+            except StopIteration:
+                raise SimulationError(
+                    "activation scheduler exhausted its runs; schedulers "
+                    "must yield (gap, plan_end) runs forever"
+                ) from None
+            if not (math.isfinite(gap) and gap >= 0.0):
+                raise InvalidParameterError(
+                    f"activation gap must be finite and >= 0, got {gap!r}"
+                )
+            previous = plan_ends[-1] if plan_ends else 0.0
+            if not (math.isfinite(plan_end) and plan_end > previous):
+                raise InvalidParameterError(
+                    "activation run must end at a finite plan time past "
+                    f"{previous!r}, got {plan_end!r}"
+                )
+            if gap == 0.0 and plan_ends:
+                # Same offset on both sides: the run extends the last burst.
+                plan_ends[-1] = plan_end
+                wall_ends[-1] = plan_end + offsets[-1]
+                continue
+            offset = (offsets[-1] if offsets else 0.0) + gap
+            offsets.append(offset)
+            plan_ends.append(plan_end)
+            wall_ends.append(plan_end + offset)
 
     def ensure_plan(self, plan_t: float) -> None:
         """Materialize runs until plan time ``plan_t`` is covered."""
-        while not self._plan_ends or self._plan_ends[-1] < plan_t:
-            self._pull()
+        self._extend(self._plan_ends, plan_t)
 
     def ensure_wall(self, wall_t: float) -> None:
         """Materialize runs until wall time ``wall_t`` is covered."""
-        while not self._wall_ends or self._wall_ends[-1] < wall_t:
-            self._pull()
+        self._extend(self._wall_ends, wall_t)
 
     # ------------------------------------------------------------------
     # queries

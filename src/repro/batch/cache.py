@@ -63,7 +63,7 @@ from repro.trajectory.linear import LinearTrajectory
 
 __all__ = [
     "CACHE_SIZE", "CompiledFleetCache", "FLEET_CACHE", "fleet_key",
-    "shared_trajectories",
+    "realization_key", "shared_trajectories",
 ]
 
 #: Most fleets one cache holds; the least recently used is evicted
@@ -246,7 +246,13 @@ def shared_trajectories(
         >>> shared_trajectories(algorithm_for, (4, 1))[1] is shared
         False
     """
-    key = (constructor,) + tuple((type(a), a) for a in args)
+    key = realization_key(constructor, args)
     return key, FLEET_CACHE.realized(
         key, lambda: Fleet.from_algorithm(constructor(*args)).trajectories
     )
+
+
+def realization_key(constructor: Callable[..., Any], args: Tuple) -> Tuple:
+    """The cache key of the fleet of ``constructor(*args)``: the
+    constructor and each argument with its type."""
+    return (constructor,) + tuple((type(a), a) for a in args)

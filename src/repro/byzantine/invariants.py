@@ -22,13 +22,14 @@ crash-fault engine:
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.tolerance import times_close
 from repro.errors import InvariantViolationError
 from repro.simulation.events import (
     ClaimEvent,
     CommitEvent,
+    Event,
     RefuteEvent,
     VoteEvent,
 )
@@ -112,80 +113,88 @@ def audit_byzantine_outcome(
                 )
             )
 
-    # Per-claim vote accounting, replayed from the log.  Matching is by
-    # *log order*, not timestamps: claims are serialized, so the claim a
-    # resolution answers is the latest matching-position claim logged
-    # before it — timestamps alone can tie (a refutation and the next
-    # claim at the same instant) and would mispair.
-    for k, resolve in enumerate(events):
-        if not isinstance(resolve, (CommitEvent, RefuteEvent)):
-            continue
-        wanted = isinstance(resolve, CommitEvent)
-        claim_indices = [
-            j
-            for j in range(k)
-            if isinstance(events[j], ClaimEvent)
-            and times_close(events[j].position, resolve.position)
-        ]
-        if not claim_indices:
-            violations.append(
-                InvariantViolation(
-                    "vote_before_claim",
-                    f"resolution at x={resolve.position:.6g} has no "
-                    "preceding claim event",
+    # Per-claim vote accounting, replayed from the log in one pass.
+    # Matching is by *log order*, not timestamps: claims are serialized,
+    # so the claim a resolution answers is the latest matching-position
+    # claim logged before it — timestamps alone can tie (a refutation
+    # and the next claim at the same instant) and would mispair.
+    claims: List[Tuple[int, ClaimEvent]] = []  # logged so far
+    orphan_votes: List[InvariantViolation] = []
+    for k, event in enumerate(events):
+        if isinstance(event, ClaimEvent):
+            claims.append((k, event))
+        elif isinstance(event, VoteEvent):
+            if not any(
+                times_close(claim.position, event.position)
+                for _, claim in claims
+            ):
+                orphan_votes.append(
+                    InvariantViolation(
+                        "vote_before_claim",
+                        f"vote by a_{event.robot_index} at "
+                        f"x={event.position:.6g} precedes any claim there",
+                    )
                 )
-            )
-            continue
-        opened = claim_indices[-1]
-        matching_votes = [
-            events[i]
-            for i in range(opened + 1, k)
-            if isinstance(events[i], VoteEvent)
-            and times_close(events[i].position, resolve.position)
-            and events[i].present is wanted
-        ]
-        if len(matching_votes) < quorum:
-            kind = "commit_below_quorum" if wanted else "refute_below_quorum"
-            side = "present" if wanted else "absent"
-            violations.append(
-                InvariantViolation(
-                    kind,
-                    f"resolution at x={resolve.position:.6g} logged only "
-                    f"{len(matching_votes)} {side} votes (quorum {quorum})",
-                )
-            )
-        if resolve.votes < quorum:
-            kind = "commit_below_quorum" if wanted else "refute_below_quorum"
-            violations.append(
-                InvariantViolation(
-                    kind,
-                    f"resolution at x={resolve.position:.6g} reports "
-                    f"{resolve.votes} votes below quorum {quorum}",
-                )
-            )
-
-    for k, vote in enumerate(events):
-        if not isinstance(vote, VoteEvent):
-            continue
-        opened = [
-            j
-            for j in range(k)
-            if isinstance(events[j], ClaimEvent)
-            and times_close(events[j].position, vote.position)
-        ]
-        if not opened:
-            violations.append(
-                InvariantViolation(
-                    "vote_before_claim",
-                    f"vote by a_{vote.robot_index} at x={vote.position:.6g} "
-                    "precedes any claim there",
-                )
-            )
+        elif isinstance(event, (CommitEvent, RefuteEvent)):
+            violations += _resolution_violations(events, k, claims, quorum)
+    violations.extend(orphan_votes)
 
     if outcome.detected and not math.isfinite(outcome.detection_time):
         violations.append(
             InvariantViolation(
                 "event_chronology", "detected outcome with non-finite time"
+            )
+        )
+    return violations
+
+
+def _resolution_violations(
+    events: Sequence[Event],
+    k: int,
+    claims: Sequence[Tuple[int, ClaimEvent]],
+    quorum: int,
+) -> List[InvariantViolation]:
+    """Quorum audits of the resolution ``events[k]``, answering the
+    latest of ``claims`` (the claims logged before it) at its position."""
+    resolve = events[k]
+    opened = next(
+        (j for j, claim in reversed(claims)
+         if times_close(claim.position, resolve.position)),
+        None,
+    )
+    if opened is None:
+        return [
+            InvariantViolation(
+                "vote_before_claim",
+                f"resolution at x={resolve.position:.6g} has no "
+                "preceding claim event",
+            )
+        ]
+    wanted = isinstance(resolve, CommitEvent)
+    kind = "commit_below_quorum" if wanted else "refute_below_quorum"
+    violations: List[InvariantViolation] = []
+    matching_votes = [
+        events[i]
+        for i in range(opened + 1, k)
+        if isinstance(events[i], VoteEvent)
+        and times_close(events[i].position, resolve.position)
+        and events[i].present is wanted
+    ]
+    if len(matching_votes) < quorum:
+        side = "present" if wanted else "absent"
+        violations.append(
+            InvariantViolation(
+                kind,
+                f"resolution at x={resolve.position:.6g} logged only "
+                f"{len(matching_votes)} {side} votes (quorum {quorum})",
+            )
+        )
+    if resolve.votes < quorum:
+        violations.append(
+            InvariantViolation(
+                kind,
+                f"resolution at x={resolve.position:.6g} reports "
+                f"{resolve.votes} votes below quorum {quorum}",
             )
         )
     return violations

@@ -36,6 +36,8 @@ shared trajectories and then the compiled arrays, and makes one
 the group's sorted targets.  :func:`run_plan` calls the same helper
 with one case, for the scenarios left over: ad-hoc factories, cases
 the kernels leave to the engine, and groups in which anything raised.
+A spec-built scenario's compilation is keyed by algorithm there too,
+so each fleet has one cache entry whichever route compiles it.
 """
 
 from __future__ import annotations
@@ -322,7 +324,15 @@ def run_plan(scenario: Any, check_invariants: bool = True):
     engine, _ = plan_for(spec, scenario.method, check_invariants)
     fleet, model = scenario.build()
     if engine == "batch":
-        (outcome,) = _batch_outcomes(fleet, [(model, spec.target)])
+        from repro.robustness.campaign import _spec_built
+        from repro.variants import variant_for
+
+        # a spec-built fleet is cached under its realization key
+        key = (
+            cache.realization_key(*variant_for(spec.variant).algorithm(spec))
+            if _spec_built(scenario) else None
+        )
+        (outcome,) = _batch_outcomes(fleet, [(model, spec.target)], key)
         if outcome is not None:
             return outcome
         engine = "sync"

@@ -12,6 +12,15 @@ The two queries that everything else is built on:
 * :meth:`Trajectory.first_visit_time` — the earliest time the robot is at
   a given point ``x`` (the quantity whose order statistics across a fleet
   define the search time ``T_{f+1}(x)`` of Definition 3).
+
+Queries never walk the path from its start.  Each materialized leg
+appends three floats to running arrays: the farthest position reached
+to the right so far, the farthest to the left (negated, so both
+ascend), and the leg's end time.  Consecutive legs share endpoints, so
+the first leg whose running reach passes ``x`` is the first leg that
+covers ``x`` — the vertical line of Lemma 3, swept by a bisect.  That
+one leg's :meth:`~repro.geometry.segment.MotionSegment.visit_time`
+answers, so a query costs one bisect and one leg formula.
 """
 
 from __future__ import annotations
@@ -20,10 +29,12 @@ import itertools
 import math
 import threading
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from typing import Iterator, List, Optional, Sequence
 
 from repro.errors import InvalidParameterError, TrajectoryError
 from repro.geometry.point import SpaceTimePoint
+from repro.geometry.segment import _EPS as _LEG_EPS
 from repro.geometry.segment import MotionSegment
 
 __all__ = ["Trajectory", "MaterializedView"]
@@ -55,6 +66,13 @@ class Trajectory(ABC):
         self._vertex_iter: Optional[Iterator[SpaceTimePoint]] = None
         self._vertices: List[SpaceTimePoint] = []
         self._segments: List[MotionSegment] = []
+        # Per leg k: the largest max(start, end) + ε over legs 0..k, the
+        # largest -(min(start, end) - ε) (so it ascends), and k's end
+        # time; ε is the leg's cover tolerance.  See _pull_vertex for
+        # why readers bound every bisect by len(self._segments).
+        self._reach_right: List[float] = []
+        self._reach_left: List[float] = []
+        self._end_times: List[float] = []
         self._exhausted = False
         self._lock = threading.RLock()
 
@@ -109,7 +127,10 @@ class Trajectory(ABC):
         a per-instance lock.  A pull that waited while another thread
         added a vertex returns True without pulling: its caller then
         re-checks how far the path reaches.  The lock is re-entrant, so
-        a vertex iterator may query its own trajectory.
+        a vertex iterator may query its own trajectory.  A new leg's
+        index floats are appended before the leg itself, so a reader
+        that bounds its bisect by ``len(self._segments)`` never reads
+        past them.
         """
         if self._exhausted:
             return False
@@ -131,7 +152,16 @@ class Trajectory(ABC):
                         f"vertex times must be non-decreasing: {prev.time} "
                         f"-> {vertex.time} in {self.describe()}"
                     )
-                self._segments.append(MotionSegment(prev, vertex))
+                leg = MotionSegment(prev, vertex)
+                right = max(prev.position, vertex.position) + _LEG_EPS
+                left = -(min(prev.position, vertex.position) - _LEG_EPS)
+                if self._segments:
+                    right = max(right, self._reach_right[-1])
+                    left = max(left, self._reach_left[-1])
+                self._reach_right.append(right)
+                self._reach_left.append(left)
+                self._end_times.append(vertex.time)
+                self._segments.append(leg)
             self._vertices.append(vertex)
             return True
 
@@ -223,15 +253,9 @@ class Trajectory(ABC):
             return self.start.position
         if self._exhausted and time >= self._vertices[-1].time:
             return self._vertices[-1].position
-        # binary search on materialized segments
-        lo, hi = 0, len(self._segments) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._segments[mid].end.time < time:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self._segments[lo].position_at(time)
+        # the first leg ending at or after ``time``, else the last leg
+        index = bisect_left(self._end_times, time, 0, len(self._segments) - 1)
+        return self._segments[index].position_at(time)
 
     def first_visit_time(self, x: float) -> Optional[float]:
         """Earliest time at which the robot is at position ``x``.
@@ -243,27 +267,34 @@ class Trajectory(ABC):
             raise InvalidParameterError(f"position must be finite, got {x!r}")
         if not self.covers(x):
             return None
-        self._ensure_start()
-        if abs(self.start.position - x) <= _EPS * (1 + abs(x)):
-            return self.start.time
-        index = 0
-        while True:
-            self.ensure_segments(index + 1)
-            if index >= len(self._segments):
+        start = self.start
+        if abs(start.position - x) <= _EPS * (1 + abs(x)):
+            return start.time
+        count = len(self._segments)
+        index = self._first_leg_covering(x, count)
+        while index == count:
+            if not self._pull_vertex() and count == len(self._segments):
                 raise TrajectoryError(
                     f"{self.describe()} claims to cover x={x} but the path "
                     "ended before reaching it"
                 )
-            t = self._segments[index].visit_time(x)
-            if t is not None:
-                return t
-            index += 1
+            count = len(self._segments)
+            index = self._first_leg_covering(x, count)
+        return self._segments[index].visit_time(x)
+
+    def _first_leg_covering(self, x: float, count: int) -> int:
+        """Index of the first of the first ``count`` legs that covers
+        ``x``, or ``count`` when none does."""
+        if x > self._vertices[0].position:
+            return bisect_left(self._reach_right, x, 0, count)
+        return bisect_left(self._reach_left, -x, 0, count)
 
     def visit_times(self, x: float, until: float) -> List[float]:
         """All visit times of ``x`` up to time ``until`` (merged at turns)."""
         self.ensure_time(until)
+        count = len(self._segments)
         times: List[float] = []
-        for seg in self._segments:
+        for seg in self._segments[self._first_leg_covering(x, count):count]:
             if seg.start.time > until:
                 break
             t = seg.visit_time(x)

@@ -5,11 +5,14 @@ the position it occupies at the halt time.  It is the kinematic side of
 the crash-stop fault model: up to the halt the robot moves exactly as
 planned; afterwards it sits still forever.  The wrapper materializes the
 inner path only up to the halt time, so halting an infinite zig-zag is
-cheap.
+cheap, and it reads the inner trajectory's own materialized vertices
+and first-cover index: wrappers of one shared plan (a fleet cached per
+process, :mod:`repro.batch.cache`) extend that plan once between them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator
 
@@ -51,8 +54,14 @@ class HaltedTrajectory(Trajectory):
         self.halt_time = float(halt_time)
 
     def vertex_iterator(self) -> Iterator[SpaceTimePoint]:
+        inner = self._inner
+        vertices = inner._vertices
         previous = None
-        for vertex in self._inner.vertex_iterator():
+        for index in itertools.count():
+            while index >= len(vertices):
+                if not inner._pull_vertex() and index >= len(vertices):
+                    return  # the inner path ended before the halt
+            vertex = vertices[index]
             if vertex.time >= self.halt_time:
                 if previous is None:
                     # halted before the path even starts: frozen at start
@@ -65,15 +74,20 @@ class HaltedTrajectory(Trajectory):
                 return
             yield vertex
             previous = vertex
-        # inner path ended before the halt: nothing left to truncate
 
     def covers(self, x: float) -> bool:
-        if not self._inner.covers(x):
+        inner = self._inner
+        if not inner.covers(x):
             return False
-        self._inner.ensure_time(self.halt_time)
-        for segment in self._inner.segments_until(self.halt_time):
+        inner.ensure_time(self.halt_time)
+        count = len(inner._segments)
+        limit = self.halt_time + _EPS
+        first = inner._first_leg_covering(x, count)
+        for segment in inner._segments[first:count]:
+            if segment.start.time > limit:
+                break
             t = segment.visit_time(x)
-            if t is not None and t <= self.halt_time + _EPS:
+            if t is not None and t <= limit:
                 return True
         return False
 

@@ -225,3 +225,44 @@ class TestTamperedOutcomes:
         )
         with pytest.raises(InvariantViolationError, match="unconfirmed"):
             check_byzantine_outcome(outcome)
+
+
+def test_violations_come_in_log_order_resolutions_before_votes():
+    # claims at 1.0 then 3.0; votes before, between and after them
+    events = (
+        VoteEvent(1.0, 0, 1.0, True),       # before any claim at 1.0
+        ClaimEvent(2.0, 1, 1.0),
+        VoteEvent(2.5, 2, 1.0, True),
+        RefuteEvent(3.0, 1, 2.0, votes=2),  # no claim at 2.0
+        CommitEvent(3.5, 1, 1.0, votes=1),  # one vote of quorum 2
+        VoteEvent(4.0, 3, 3.0, False),      # before the claim at 3.0
+        ClaimEvent(4.5, 4, 3.0),
+        VoteEvent(5.0, 0, 3.0, False),
+        VoteEvent(5.0, 2, 3.0, False),
+        RefuteEvent(5.5, 4, 3.0, votes=2),  # quorum met: no violation
+        CommitEvent(6.0, 3, 1.0, votes=2),  # answers the claim at 1.0
+    )
+    outcome = ByzantineOutcome(
+        target=1.0,
+        detection_time=math.inf,
+        detecting_robot=None,
+        faulty_robots=frozenset(),
+        events=events,
+        quorum=2,
+    )
+    assert [
+        (v.invariant, v.message) for v in audit_byzantine_outcome(outcome)
+    ] == [
+        ("unconfirmed_termination",
+         "undetected outcome contains a commit event"),
+        ("vote_before_claim",
+         "resolution at x=2 has no preceding claim event"),
+        ("commit_below_quorum",
+         "resolution at x=1 logged only 1 present votes (quorum 2)"),
+        ("commit_below_quorum",
+         "resolution at x=1 reports 1 votes below quorum 2"),
+        ("commit_below_quorum",
+         "resolution at x=1 logged only 1 present votes (quorum 2)"),
+        ("vote_before_claim", "vote by a_0 at x=1 precedes any claim there"),
+        ("vote_before_claim", "vote by a_3 at x=3 precedes any claim there"),
+    ]

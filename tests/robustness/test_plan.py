@@ -22,6 +22,7 @@ from repro.robustness import (
     CampaignExecutor,
     Scenario,
     ScenarioSpec,
+    build_scenario,
     chaos_scenarios,
     executor,
     plan,
@@ -36,6 +37,7 @@ from repro.trajectory import (
     DoublingTrajectory,
     LinearTrajectory,
 )
+from repro.variants import variant_for
 
 VARIANTS = ("line", "halfline", "evacuation")
 PROTOCOLS = ("none", "confirmation")
@@ -261,6 +263,18 @@ def test_default_campaign_report_is_byte_identical(
     # one cache entry per fleet, compiled once at the grid's largest |x|
     assert len(fresh_cache) == len(BATCH_PAIRS)
     assert len(fresh_cache.compiles) == len(BATCH_PAIRS)
+
+
+def test_one_spec_built_fleet_has_one_cache_entry_on_every_route(
+    fresh_cache, kernel_runs
+):
+    scenario = build_scenario(ScenarioSpec(3, 1, 2.0, "adversarial"))
+    alone = variant_for("line").run(scenario, check_invariants=False)
+    assert kernel_runs == [True]
+    assert len(fresh_cache) == 1 and len(fresh_cache.compiles) == 1
+    report = run_campaign([scenario], check_invariants=False)
+    assert report.results[0].detection_time == alone.detection_time
+    assert len(fresh_cache) == 1 and len(fresh_cache.compiles) == 1
 
 
 def _custom(n, f, target, build, method=None):

@@ -22,6 +22,7 @@ from repro.errors import InvalidParameterError
 from repro.robustness import ScenarioSpec, chaos_scenarios, run_campaign
 from repro.robustness.campaign import FAULT_KINDS
 from repro.schedule import algorithm_for
+from repro.trajectory.halted import HaltedTrajectory
 from repro.variants import variant_for
 
 
@@ -93,9 +94,15 @@ def test_no_campaign_mutates_a_cached_fleet(fresh_cache):
 
 
 def _answers(trajectories, targets, times):
+    sample, halts = targets[::7], times[1::9]
     return (
         [[t.first_visit_time(x) for x in targets] for t in trajectories],
         [[t.position_at(s) for s in times] for t in trajectories],
+        [[t.visit_times(x, times[-1]) for x in sample] for t in trajectories],
+        [
+            [[HaltedTrajectory(t, h).covers(x) for x in sample] for h in halts]
+            for t in trajectories
+        ],
     )
 
 
