@@ -9,9 +9,11 @@ set of positions swept by any prefix of the path is a contiguous
 interval around the start.  Walking the segments in time order, each
 segment can only assign first-visit times to the targets in the strip it
 *newly* covers — the targets between the old envelope edge and the
-segment's endpoint.  With the targets sorted once, each target is
-touched exactly once, giving ``O(S + T)`` work for ``S`` segments and
-``T`` targets instead of the naive ``O(S * T)``.
+segment's endpoint.  With the targets sorted once, the strip's far end
+is one bisect and its times are one slice assignment, so each target is
+written exactly once: ``O(S log T + T)`` work for ``S`` segments and
+``T`` targets instead of the naive ``O(S * T)``.  A segment that covers
+no new target costs one comparison.
 
 The kernels reproduce the event path's tolerance rules exactly:
 
@@ -38,7 +40,7 @@ expression (and the same rounding) as
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import List, Sequence, Set
 
 from repro.errors import InvalidParameterError
@@ -58,6 +60,28 @@ SEG_EPS = 1e-12
 #: Relative start tolerance, matching ``repro.trajectory.base._EPS``
 #: (the start check of ``Trajectory.first_visit_time``).
 START_RTOL = 1e-9
+
+
+def _minus_eps(x: float) -> float:
+    return x - SEG_EPS
+
+
+def _plus_eps(x: float) -> float:
+    return x + SEG_EPS
+
+
+def _strip(
+    xs: Sequence[float], x0: float, x1: float, t0: float, t1: float
+) -> List[float]:
+    """Crossing times of ``xs`` on the leg ``(x0, t0) -> (x1, t1)``: the
+    clamped, division-first expression of the module docstring."""
+    dx = x1 - x0
+    dt = t1 - t0
+    return [
+        t0 + (1.0 if frac > 1.0 else frac) * dt
+        for x in xs
+        for frac in [(x - x0) / dx]
+    ]
 
 
 def first_visit_row(compiled, xs_sorted: Sequence[float]) -> List[float]:
@@ -103,30 +127,28 @@ def first_visit_row(compiled, xs_sorted: Sequence[float]) -> List[float]:
     env_lo = env_hi = s
     x0s, t0s, x1s, t1s = compiled.x0, compiled.t0, compiled.x1, compiled.t1
     for j in range(len(x0s)):
-        x0 = x0s[j]
         x1 = x1s[j]
         if x1 > env_hi:
-            t0 = t0s[j]
-            dt = t1s[j] - t0
-            dx = x1 - x0
-            while next_up < n and xs_sorted[next_up] - SEG_EPS <= x1:
-                frac = (xs_sorted[next_up] - x0) / dx
-                if frac > 1.0:
-                    frac = 1.0
-                times[next_up] = t0 + frac * dt
-                next_up += 1
             env_hi = x1
+            # Float subtraction of a constant is monotone, so the strip
+            # ends exactly where the per-target test ``x - SEG_EPS <= x1``
+            # first fails.
+            if next_up < n and xs_sorted[next_up] - SEG_EPS <= x1:
+                end = bisect_right(
+                    xs_sorted, x1, next_up + 1, n, key=_minus_eps
+                )
+                times[next_up:end] = _strip(
+                    xs_sorted[next_up:end], x0s[j], x1, t0s[j], t1s[j]
+                )
+                next_up = end
         elif x1 < env_lo:
-            t0 = t0s[j]
-            dt = t1s[j] - t0
-            dx = x1 - x0
-            while next_dn >= 0 and xs_sorted[next_dn] + SEG_EPS >= x1:
-                frac = (xs_sorted[next_dn] - x0) / dx
-                if frac > 1.0:
-                    frac = 1.0
-                times[next_dn] = t0 + frac * dt
-                next_dn -= 1
             env_lo = x1
+            if next_dn >= 0 and xs_sorted[next_dn] + SEG_EPS >= x1:
+                start = bisect_left(xs_sorted, x1, 0, next_dn, key=_plus_eps)
+                times[start:next_dn + 1] = _strip(
+                    xs_sorted[start:next_dn + 1], x0s[j], x1, t0s[j], t1s[j]
+                )
+                next_dn = start - 1
         if next_up >= n and next_dn < 0:
             break
     return times

@@ -306,7 +306,7 @@ class ByzantineSearchSimulation:
                     votes=record.absent_votes,
                 )
             )
-            self._charge_diversions(record, plans, delays, behaviors)
+            self._charge_diversions(record, delays)
             now = record.resolve_time
         raise SimulationError(
             f"confirmation protocol did not resolve within {_MAX_CLAIMS} "
@@ -422,14 +422,12 @@ class ByzantineSearchSimulation:
             return vote_rngs[j].random() < behavior.detection_probability
         return is_target
 
-    def _charge_diversions(self, record, plans, delays, behaviors) -> None:
+    def _charge_diversions(self, record, delays) -> None:
         """Delay every diverted robot by its wasted travel + wait."""
         t_c, t_r = record.claim_time, record.resolve_time
         # the claimant stood at the claimed point the whole time
         delays[record.claimant] += t_r - t_c
         for arrival, j, travel in record.arrivals:
-            if isinstance(behaviors.get(j), CrashStopFault):
-                pass  # crashed verifiers were filtered before arrival
             if arrival <= t_r:
                 # reached the point, waited, walks back
                 delays[j] += (t_r - t_c) + travel

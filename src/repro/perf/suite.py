@@ -303,7 +303,7 @@ WORKLOADS: Tuple[Workload, ...] = (
     ),
     Workload(
         name="batch_pure",
-        description="batch kernels, pure-python backend, one grid pass",
+        description="BatchEvaluator.search_times, A(3,1), one grid pass",
         setup=_setup_batch_pure,
         full={"n": 3, "f": 1, "points": 10000, "x_max": 100.0},
         quick={"n": 3, "f": 1, "points": 1000, "x_max": 100.0},

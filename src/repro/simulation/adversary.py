@@ -77,32 +77,30 @@ def _ratio_profile(
 
         if not isinstance(scheduler, ActivationScheduler):
             scheduler = scheduler_from_spec(scheduler)
-        samples = [
-            RatioSample(
-                float(x),
-                EventEngine(
-                    fleet,
-                    x,
-                    scheduler=scheduler,
-                    fault_model=AdversarialFaults(fault_budget),
-                    seed=seed,
-                )
-                .run(with_events=False)
-                .detection_time,
+        xs = [float(x) for x in targets]
+        times = [
+            EventEngine(
+                fleet,
+                x,
+                scheduler=scheduler,
+                fault_model=AdversarialFaults(fault_budget),
+                seed=seed,
             )
+            .run(with_events=False)
+            .detection_time
             for x in targets
         ]
     elif method == "batch":
+        xs = [float(x) for x in targets]
         times = BatchEvaluator(fleet, fault_budget=fault_budget).search_times(
             targets
         )
-        samples = [RatioSample(float(x), t) for x, t in zip(targets, times)]
     else:
-        samples = [
-            RatioSample(x, fleet.worst_case_detection_time(x, fault_budget))
-            for x in targets
+        xs = list(targets)
+        times = [
+            fleet.worst_case_detection_time(x, fault_budget) for x in targets
         ]
-    return RatioProfile(samples)
+    return RatioProfile.from_columns(xs, times)
 
 
 class CompetitiveRatioEstimator:
@@ -246,7 +244,7 @@ class CompetitiveRatioEstimator:
         return CompetitiveRatioEstimate(
             value=witness.ratio,
             witness=witness,
-            samples_evaluated=len(profile.samples),
+            samples_evaluated=len(profile),
             x_max=self.x_max,
         )
 

@@ -124,19 +124,79 @@ class CompetitiveRatioEstimate:
         )
 
 
-@dataclass(frozen=True)
 class RatioProfile:
-    """The function ``K(x)`` sampled over a set of targets."""
+    """The function ``K(x)`` sampled over a set of targets.
 
-    samples: List[RatioSample]
+    Stored as two columns, the targets and their detection times, so a
+    sweep of thousands of targets builds no per-target object: the
+    ratios and the supremum are computed over the columns with
+    :attr:`RatioSample.ratio`'s expression.  ``RatioProfile(samples)``
+    builds the same profile from :class:`RatioSample` objects, and
+    :meth:`from_columns` from the columns; :attr:`samples` is built on
+    first access and then kept.
+
+    Examples:
+        >>> profile = RatioProfile.from_columns([1.0, -2.0], [3.0, 10.0])
+        >>> len(profile), profile.ratios()
+        (2, [3.0, 5.0])
+        >>> profile.supremum
+        RatioSample(x=-2.0, detection_time=10.0)
+        >>> profile == RatioProfile(profile.samples)
+        True
+    """
+
+    __slots__ = ("_xs", "_times", "_samples")
+
+    def __init__(self, samples: Sequence[RatioSample]) -> None:
+        self._samples: Optional[List[RatioSample]] = list(samples)
+        self._xs = [s.x for s in self._samples]
+        self._times = [s.detection_time for s in self._samples]
+
+    @classmethod
+    def from_columns(
+        cls, xs: Sequence[float], detection_times: Sequence[float]
+    ) -> "RatioProfile":
+        """The profile of ``detection_times[i]`` at target ``xs[i]``."""
+        if len(xs) != len(detection_times):
+            raise InvalidParameterError(
+                f"column lengths differ: {len(xs)} targets, "
+                f"{len(detection_times)} detection times"
+            )
+        profile = cls.__new__(cls)
+        profile._xs = list(xs)
+        profile._times = list(detection_times)
+        profile._samples = None
+        return profile
+
+    @property
+    def samples(self) -> List[RatioSample]:
+        """One :class:`RatioSample` per target, in target order."""
+        if self._samples is None:
+            self._samples = [
+                RatioSample(x, t) for x, t in zip(self._xs, self._times)
+            ]
+        return self._samples
+
+    def __len__(self) -> int:
+        return len(self._xs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RatioProfile):
+            return NotImplemented
+        return self._xs == other._xs and self._times == other._times
+
+    def __repr__(self) -> str:
+        return f"RatioProfile(samples={self.samples!r})"
 
     @property
     def supremum(self) -> RatioSample:
-        """The sample with the largest ratio."""
-        if not self.samples:
+        """The sample with the largest ratio (the first of tied maxima)."""
+        if not self._xs:
             raise InvalidParameterError("profile has no samples")
-        return max(self.samples, key=lambda s: s.ratio)
+        ratios = self.ratios()
+        best = max(range(len(ratios)), key=ratios.__getitem__)
+        return RatioSample(self._xs[best], self._times[best])
 
     def ratios(self) -> List[float]:
         """The ratio values, in sample order."""
-        return [s.ratio for s in self.samples]
+        return [t / abs(x) for x, t in zip(self._xs, self._times)]

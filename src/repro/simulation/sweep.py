@@ -144,7 +144,7 @@ def target_sweep(
         >>> from repro.schedule import ProportionalAlgorithm
         >>> fleet = Fleet.from_algorithm(ProportionalAlgorithm(3, 1))
         >>> profile = target_sweep(fleet, 1, [1.0, 1.5, 2.0, 3.0])
-        >>> len(profile.samples)
+        >>> len(profile)
         4
         >>> oracle = target_sweep(fleet, 1, [1.0, 1.5, 2.0, 3.0], method="event")
         >>> profile.ratios() == oracle.ratios()

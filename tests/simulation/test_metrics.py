@@ -48,6 +48,40 @@ class TestRatioProfile:
     def test_empty_supremum_rejected(self):
         with pytest.raises(InvalidParameterError):
             RatioProfile([]).supremum
+        with pytest.raises(InvalidParameterError):
+            RatioProfile.from_columns([], []).supremum
+
+    def test_columns_agree_with_samples(self):
+        # -2.0 and 4.0 tie at the maximum ratio, 3.0
+        xs = [1.0, -2.0, 0.5, 4.0, -0.25]
+        times = [2.0, 6.0, 1.25, 12.0, 0.5]
+        columnar = RatioProfile.from_columns(xs, times)
+        built = RatioProfile([RatioSample(x, t) for x, t in zip(xs, times)])
+        assert len(columnar) == len(built) == 5
+        assert columnar.samples == built.samples
+        assert [r.hex() for r in columnar.ratios()] == [
+            r.hex() for r in built.ratios()
+        ]
+        assert columnar.supremum == built.supremum == RatioSample(-2.0, 6.0)
+        assert columnar == built
+        assert repr(columnar) == repr(built)
+        assert columnar != RatioProfile.from_columns(xs, times[:-1] + [0.75])
+
+    def test_supremum_is_the_first_of_tied_maxima(self):
+        profile = RatioProfile.from_columns(
+            [1.0, 2.0, -1.0, 4.0], [3.0, 6.0, math.inf, math.inf]
+        )
+        assert profile.supremum == RatioSample(-1.0, math.inf)
+        samples = profile.samples
+        assert profile.supremum == max(samples, key=lambda s: s.ratio)
+
+    def test_samples_built_once(self):
+        profile = RatioProfile.from_columns([1.0], [2.0])
+        assert profile.samples is profile.samples
+
+    def test_column_lengths_must_match(self):
+        with pytest.raises(InvalidParameterError, match="column lengths"):
+            RatioProfile.from_columns([1.0, 2.0], [1.0])
 
 
 class TestEstimate:
