@@ -3,8 +3,9 @@
 Three families:
 
 1. **FSYNC parity** — on random proportional regimes, targets, and
-   crash-fault subsets, the unit-speed FSYNC event engine must equal the
-   continuous engine *bit-exactly* (``==``, not ``times_close``).
+   every campaign fault kind, the unit-speed FSYNC event engine must
+   return the continuous engine's whole outcome *bit-exactly* (``==``
+   on the outcome and its event log, not ``times_close``).
 2. **Monotone degradation** — for the async scheduler kind with a fixed
    seed, detection times are monotone non-decreasing in ``max_delay``
    (the coupling: the same uniform draws scale linearly with the knob).
@@ -23,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.async_sched import AsyncScheduler, EventEngine, FsyncScheduler
-from repro.robots import AdversarialFaults, FixedFaults, Fleet
+from repro.robots import AdversarialFaults, Fleet
+from repro.robustness.campaign import ScenarioSpec, _fault_model_for
 from repro.schedule import ProportionalAlgorithm
 from repro.simulation import SearchSimulation
 
@@ -48,39 +50,51 @@ def signed_target():
     return st.builds(lambda m, neg: -m if neg else m, magnitude, st.booleans())
 
 
+#: Every campaign fault kind that runs without the confirmation protocol.
+SYNC_FAULT_KINDS = (
+    "none",
+    "adversarial",
+    "random",
+    "fixed",
+    "crash_stop",
+    "byzantine",
+    "probabilistic",
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     regime=proportional_regimes(),
     target=signed_target(),
+    fault=st.sampled_from(SYNC_FAULT_KINDS),
     fault_seed=st.integers(min_value=0, max_value=2**16),
     quantum=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
 )
 def test_fsync_equals_continuous_bit_exactly(
-    regime, target, fault_seed, quantum
+    regime, target, fault, fault_seed, quantum
 ):
     n, f = regime
     fleet = Fleet.from_algorithm(ProportionalAlgorithm(n, f))
-    # a deterministic fault subset of size <= f drawn from the seed
-    import random
+    if fault == "fixed":
+        # a deterministic fault subset of size f drawn from the seed
+        import random
 
-    subset = random.Random(fault_seed).sample(range(n), f)
+        subset = random.Random(fault_seed).sample(range(n), f)
+        fault = "fixed:" + ",".join(map(str, subset))
+    spec = ScenarioSpec(n, f, target, fault, seed=fault_seed)
+    # a fresh model per run: stochastic models keep state across draws
     continuous = SearchSimulation(
-        fleet, target, fault_model=FixedFaults(subset)
+        fleet, target, fault_model=_fault_model_for(spec)
     ).run()
     event = EventEngine(
         fleet,
         target,
         scheduler=FsyncScheduler(quantum),
-        fault_model=FixedFaults(subset),
+        fault_model=_fault_model_for(spec),
     ).run()
-    assert event.detection_time == continuous.detection_time
-    assert event.detecting_robot == continuous.detecting_robot
-    assert event.faulty_robots == continuous.faulty_robots
-    assert len(event.events) == len(continuous.events)
-    for ours, theirs in zip(event.events, continuous.events):
-        assert type(ours) is type(theirs)
-        assert ours.time == theirs.time
-        assert ours.robot_index == theirs.robot_index
+    # the whole outcome: detection, fault set, and every event's type,
+    # time, robot, position and detected flag
+    assert event == continuous
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,17 +2,23 @@
 
 Two fully independent implementations of "when does robot i first reach
 x" must agree: the analytic segment-walking engine (repro.trajectory)
-and the brute-force grid scanner (repro.simulation.timestep).
+and the brute-force grid scanner (repro.simulation.timestep).  The
+scenario engine's worst-case detection time is checked against the
+grid scanner too: the scanner shares no code with the engine's
+assign → detect → render core, so it is the sync path's oracle.
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import GroupDoubling, TwoGroupAlgorithm
 from repro.extensions import TurnCostProportionalAlgorithm
-from repro.robots import Fleet
+from repro.robots import AdversarialFaults, Fleet
 from repro.schedule import ProportionalAlgorithm
+from repro.simulation import SearchSimulation
 from repro.simulation.timestep import TimeSteppedSimulator
 from repro.trajectory import DoublingTrajectory, LinearTrajectory
 
@@ -82,6 +88,36 @@ class TestFleets:
                 if analytic is None or analytic > 75.0:
                     continue
                 assert gridded == pytest.approx(analytic, abs=TOL), (i, x)
+
+
+@st.composite
+def proportional_regimes(draw):
+    """(n, f) with f < n < 2f + 2 — the paper's non-trivial band."""
+    f = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=f + 1, max_value=2 * f + 1))
+    return n, f
+
+
+def signed_targets():
+    magnitude = st.floats(
+        min_value=1.0, max_value=4.0, allow_nan=False, allow_infinity=False
+    )
+    return st.builds(lambda m, neg: -m if neg else m, magnitude, st.booleans())
+
+
+class TestEngineAgainstGrid:
+    # each grid walk costs horizon/dt steps per robot: a few dozen cases
+    @settings(max_examples=30, deadline=None)
+    @given(regime=proportional_regimes(), x=signed_targets())
+    def test_worst_case_detection_time(self, regime, x):
+        n, f = regime
+        alg = ProportionalAlgorithm(n, f)
+        engine = SearchSimulation(
+            Fleet.from_algorithm(alg), x, fault_model=AdversarialFaults(f)
+        ).run()
+        grid = TimeSteppedSimulator(alg.build(), dt=DT, horizon=80.0)
+        gridded = grid.kth_distinct_visit_time(x, f + 1)
+        assert engine.detection_time == pytest.approx(gridded, abs=TOL)
 
 
 class TestValidation:
