@@ -3,18 +3,20 @@
 This package generalizes the synchronous continuous-time model of
 :mod:`repro.simulation` to scheduled time: robots follow the same
 analytic plans, but a pluggable activation scheduler decides when the
-wall clock lets each plan advance.  The discrete-event engine renders
-the resulting wall-clock event log with the existing
-:mod:`repro.simulation.events` types, composes with per-robot speeds
-(:mod:`repro.extensions.multi_speed`) and the Byzantine confirmation
-protocol (via per-robot timelines), and reproduces the continuous
-engine bit-exactly under FSYNC/unit-speed — see
+wall clock lets each plan advance.  The event engine runs the
+synchronous engine's assign → detect → render core through one
+timeline per robot, renders the resulting wall-clock event log with
+the existing :mod:`repro.simulation.events` types, composes with
+per-robot speeds (:mod:`repro.extensions.multi_speed`) and the
+Byzantine confirmation protocol (via per-robot timelines), and
+reproduces the continuous engine bit-exactly under FSYNC/unit-speed —
+see
 :func:`repro.parity.run_async_parity`.
 
 Modules:
     timeline: lazy wall↔plan maps built from scheduler slices.
     schedulers: FSYNC/SSYNC/ASYNC/adversarial activation strategies.
-    engine: the heap-merge discrete-event engine.
+    engine: the scheduled-time engine and its timeline builder.
     invariants: scheduled-time invariant audits.
     sweep: CR-degradation sweeps (ratio vs. scheduler adversity).
 """

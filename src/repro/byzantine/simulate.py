@@ -45,7 +45,10 @@ Scheduled-time composition: pass ``timelines`` (one
 :func:`repro.async_sched.engine.timelines_for`) and every *plan-derived*
 instant — genuine detections, Byzantine alarm times, crash-stop halt
 checks — is mapped through the robot's wall↔plan map before entering
-the protocol.  Claim verification itself stays in wall time: a claim is
+the protocol, by the scenario core's
+:func:`~repro.simulation.engine.wall_time` and
+:func:`~repro.simulation.engine.plan_time` (the identity without
+timelines).  Claim verification itself stays in wall time: a claim is
 an announcement that *wakes* the diverted robots, so diversion travel
 and voting proceed at unit speed regardless of the activation schedule
 (the scheduler governs searching, not responding to an alarm).
@@ -70,6 +73,7 @@ from repro.robots.behaviors import (
 )
 from repro.robots.faults import FaultModel
 from repro.robots.fleet import Fleet
+from repro.simulation.engine import draw_faults, plan_time, wall_time
 from repro.simulation.events import (
     ClaimEvent,
     CommitEvent,
@@ -174,12 +178,7 @@ class ByzantineSearchSimulation:
             n=self.fleet.size,
             f=self.fault_model.fault_budget,
         ):
-            behaviors = self.fault_model.behaviors(self.fleet, self.target)
-            if len(behaviors) > self.fault_model.fault_budget:
-                raise SimulationError(
-                    f"fault model assigned {len(behaviors)} faults, more "
-                    f"than its budget {self.fault_model.fault_budget}"
-                )
+            behaviors = draw_faults(self.fleet, self.target, self.fault_model)
             outcome = self._run_protocol(behaviors)
         if telemetry is not None:
             obs.count("byzantine_runs_total")
@@ -317,24 +316,10 @@ class ByzantineSearchSimulation:
     # pieces
     # ------------------------------------------------------------------
 
-    def _wall_of(self, i: int, plan_t: float) -> float:
-        """Wall time of a plan instant of robot ``i`` (identity when no
-        scheduler timelines were supplied)."""
-        if self._timelines is None:
-            return plan_t
-        return self._timelines[i].wall_of(plan_t)
-
-    def _plan_of(self, i: int, wall_t: float) -> float:
-        """Plan progress of robot ``i`` at a wall instant (identity when
-        no scheduler timelines were supplied)."""
-        if self._timelines is None:
-            return wall_t
-        return self._timelines[i].plan_of(wall_t)
-
     def _position(self, plans, delays, i: int, t: float) -> float:
         """Searching position of robot ``i`` at absolute time ``t``."""
         return plans[i].position_at(
-            self._plan_of(i, max(0.0, t - delays[i]))
+            plan_time(self._timelines, i, max(0.0, t - delays[i]))
         )
 
     def _next_candidate(
@@ -346,13 +331,13 @@ class ByzantineSearchSimulation:
         for i, base in enumerate(genuine_base):
             if base is None:
                 continue
-            t = max(self._wall_of(i, base) + delays[i], now)
+            t = max(wall_time(self._timelines, i, base) + delays[i], now)
             if best is None or (t, i) < (best.time, best.claimant):
                 best = _Candidate(t, i, self.target, True, None)
         for (i, ordinal, base) in pending_alarms:
             if (i, ordinal) in consumed:
                 continue
-            t = max(self._wall_of(i, base) + delays[i], now)
+            t = max(wall_time(self._timelines, i, base) + delays[i], now)
             if best is None or (t, i) < (best.time, best.claimant):
                 # the lie: "the target is right here, where I stand"
                 position = self._position(plans, delays, i, t)
@@ -388,7 +373,10 @@ class ByzantineSearchSimulation:
             if isinstance(behavior, CrashStopFault):
                 # a crashed robot neither travels nor votes; the halt is
                 # a plan instant, so compare in plan time
-                if self._plan_of(j, arrival - delays[j]) > behavior.halt_time:
+                if (
+                    plan_time(self._timelines, j, arrival - delays[j])
+                    > behavior.halt_time
+                ):
                     continue
             arrivals.append((arrival, j, travel))
         arrivals.sort()

@@ -13,11 +13,17 @@ comparisons ship:
   adversarial (worst-case ``T_{f+1}``) and explicit crash-fault sets.
   The service runs a small grid at startup as the batch fast path's
   license to serve, and CI runs the default grid in a bare venv.
-* :func:`run_async_parity` — the discrete-event engine of
-  :mod:`repro.async_sched` under FSYNC activation and unit speeds.
-  Its cumulative-offset timelines make bit-exactness achievable, so the
-  harness demands it: ``==`` on detection times, not ``times_close``,
-  and the same detecting robot.
+* :func:`run_async_parity` — the FSYNC timeline of the one scenario
+  engine: :class:`~repro.async_sched.engine.EventEngine` runs the same
+  assign → detect → render core as the synchronous engine, mapped
+  through one FSYNC :class:`~repro.async_sched.timeline.Timeline` per
+  robot at unit speeds.  Cumulative-offset timelines make
+  bit-exactness achievable, so the harness demands it: ``==`` on
+  detection times, not ``times_close``, and the same detecting robot.
+  It checks the timeline, not a second engine; the synchronous path's
+  independent oracles are the batch kernels
+  (:func:`run_parity_harness`), the closed forms, and the time-stepped
+  grid scanner of :mod:`repro.simulation.timestep`.
 * :func:`run_variant_parity` — ``variant="line"`` dispatch through
   :class:`~repro.variants.line.LineVariant` and the plan table,
   bit-exact like the FSYNC row.
@@ -489,7 +495,13 @@ def run_async_parity(
     x_max: float = 16.0,
     quantum: float = 0.5,
 ) -> ParityReport:
-    """The FSYNC event engine against the continuous one, bit-exact.
+    """The FSYNC timeline of the scenario engine, bit-exact.
+
+    :class:`~repro.async_sched.engine.EventEngine` and the synchronous
+    engine share one assign → detect → render core, so this harness
+    checks that FSYNC timelines map plan time to itself — built by
+    :func:`~repro.async_sched.engine.timelines_for` and queried through
+    every detection — not that two engines agree.
 
     Args:
         pairs: ``(n, f)`` regimes, realized with the library's regime

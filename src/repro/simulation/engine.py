@@ -1,4 +1,4 @@
-"""The search simulation engine.
+"""The search scenario engine: one assign → detect → render core.
 
 Runs one scenario — a fleet, a target, a fault assignment — and produces
 the detection time plus a chronological event log.  Because trajectories
@@ -7,10 +7,30 @@ computes visit and turn times exactly and then *renders* them as a
 discrete event timeline, which is both faster and free of discretization
 error.
 
-The engine is the executable counterpart of Definition 3: with the
-adversarial fault model, the detection time it reports equals
-``T_{f+1}(x)``.  Generalized fault behaviors (crash-stop, Byzantine
-false alarms, probabilistic detection — see
+The core is three functions shared by every engine that runs a plan:
+
+* :func:`draw_faults` asks the fault model for its behavior map once and
+  checks it against the model's budget;
+* :func:`detect` computes each robot's *genuine* detection time once,
+  maps it to wall time, and picks the detecting robot by the one
+  ``times_close`` rule;
+* :func:`render_events` renders turns, target visits, crashes and false
+  alarms up to detection, stably sorted by
+  ``(time, is_detection, robot_index)``.
+
+Plan time is mapped to wall time by :func:`wall_time` (and back by
+:func:`plan_time`) through optional per-robot
+:class:`~repro.async_sched.timeline.Timeline` maps.  With no timelines
+— :class:`SearchSimulation`, the synchronous engine — plan time *is*
+wall time and no timeline is built; the scheduled-time
+:class:`~repro.async_sched.engine.EventEngine` passes one timeline per
+robot, and the Byzantine confirmation simulation maps its plan-derived
+instants through the same two functions.
+
+:class:`SearchSimulation` is the executable counterpart of Definition
+3: with the adversarial fault model, the detection time it reports
+equals ``T_{f+1}(x)``.  Generalized fault behaviors (crash-stop,
+Byzantine false alarms, probabilistic detection — see
 :mod:`repro.robots.behaviors`) are honored through the same path: each
 robot contributes its *genuine* detection time, crash-stop truncations
 shape the rendered trajectory, and spurious Byzantine claims appear in
@@ -22,11 +42,20 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Iterable, List, Optional
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from repro.core.tolerance import times_close
 from repro.errors import InvalidParameterError, SimulationError
 from repro.observability import instrument as obs
+from repro.robots.behaviors import FaultBehavior
 from repro.robots.faults import AdversarialFaults, FaultModel
 from repro.robots.fleet import Fleet
 from repro.simulation.events import (
@@ -39,7 +68,166 @@ from repro.simulation.events import (
 )
 from repro.simulation.metrics import SearchOutcome
 
+if TYPE_CHECKING:
+    from repro.async_sched.timeline import Timeline
+
 __all__ = ["SearchSimulation", "simulate_search"]
+
+
+# ----------------------------------------------------------------------
+# the core: assign → detect → render
+# ----------------------------------------------------------------------
+
+def wall_time(
+    timelines: Optional[Sequence["Timeline"]], index: int, plan_t: float
+) -> float:
+    """Wall time at which robot ``index`` reaches plan instant ``plan_t``;
+    ``plan_t`` itself when no scheduler timelines run."""
+    if timelines is None:
+        return plan_t
+    return timelines[index].wall_of(plan_t)
+
+
+def plan_time(
+    timelines: Optional[Sequence["Timeline"]], index: int, wall_t: float
+) -> float:
+    """Plan progress of robot ``index`` at wall instant ``wall_t``;
+    ``wall_t`` itself when no scheduler timelines run."""
+    if timelines is None:
+        return wall_t
+    return timelines[index].plan_of(wall_t)
+
+
+def draw_faults(
+    fleet: Fleet, target: float, fault_model: FaultModel
+) -> Dict[int, FaultBehavior]:
+    """The fault model's behavior map, checked against its budget.
+
+    A stochastic model redraws per call, so every engine asks for the
+    map exactly once and derives everything else from it.
+
+    Raises:
+        SimulationError: if the model assigns more faults than its own
+            budget (a broken model).
+    """
+    assignment = fault_model.behaviors(fleet, target)
+    if len(assignment) > fault_model.fault_budget:
+        raise SimulationError(
+            f"fault model assigned {len(assignment)} faults, more than "
+            f"its budget {fault_model.fault_budget}"
+        )
+    return assignment
+
+
+class Detection(NamedTuple):
+    """Who detects the target, and when (see :func:`detect`)."""
+
+    #: Per-robot genuine detection instants in plan time (``None`` =
+    #: that robot never genuinely detects).
+    plan_times: List[Optional[float]]
+    #: The same instants in wall time.
+    wall_times: List[Optional[float]]
+    #: The earliest wall time (``inf`` when no robot detects).
+    time: float
+    #: The first robot whose wall time is close to ``time``, or ``None``.
+    robot: Optional[int]
+
+
+def detect(
+    assigned: Fleet,
+    target: float,
+    timelines: Optional[Sequence["Timeline"]] = None,
+) -> Detection:
+    """Each robot's genuine detection time, computed once, and the
+    first robot to detect in wall time."""
+    plan_times = [robot.detection_time_for(target) for robot in assigned]
+    wall_times = [
+        None if t is None else wall_time(timelines, i, t)
+        for i, t in enumerate(plan_times)
+    ]
+    detection_time = min(
+        (t for t in wall_times if t is not None), default=math.inf
+    )
+    robot = None
+    if math.isfinite(detection_time):
+        robot = next(
+            i for i, t in enumerate(wall_times)
+            if t is not None and times_close(t, detection_time)
+        )
+    return Detection(plan_times, wall_times, detection_time, robot)
+
+
+def render_events(
+    assigned: Fleet,
+    target: float,
+    detection: Detection,
+    timelines: Optional[Sequence["Timeline"]] = None,
+) -> List[Event]:
+    """The event log up to and including ``detection``, in wall time.
+
+    Each robot's plan horizon is its plan progress at the wall
+    detection time: an event at plan time ``t`` renders at wall time
+    ``wall_time(t)``, and by monotonicity that is at most the detection
+    time iff ``t`` is at most the horizon.
+    """
+    detection_time, detecting_robot = detection.time, detection.robot
+    events: List[Event] = []
+    for robot in assigned:
+        index = robot.index
+        plan = robot.effective_trajectory
+        horizon = plan_time(timelines, index, detection_time)
+        genuine = detection.plan_times[index]
+        for vertex in plan.turning_points_until(horizon):
+            if vertex.time <= horizon:
+                events.append(
+                    TurnEvent(
+                        wall_time(timelines, index, vertex.time),
+                        index,
+                        vertex.position,
+                    )
+                )
+        for t in plan.visit_times(target, horizon):
+            wall = wall_time(timelines, index, t)
+            if index == detecting_robot and times_close(wall, detection_time):
+                continue  # rendered as the final DetectionEvent below
+            # A visit detects exactly when the robot's behavior says
+            # this is its genuine detection instant; every other
+            # logged visit is a miss (faulty robot, failed
+            # probabilistic draw, or post-detection tie).
+            detected = genuine is not None and times_close(t, genuine)
+            events.append(
+                TargetVisitEvent(wall, index, target, detected=detected)
+            )
+        behavior = robot.behavior
+        if behavior is not None:
+            halt = behavior.halt_time
+            if halt is not None and halt <= horizon:
+                events.append(
+                    CrashEvent(
+                        wall_time(timelines, index, halt),
+                        index,
+                        plan.position_at(halt),
+                    )
+                )
+            for t in behavior.false_alarm_times(plan, target, until=horizon):
+                events.append(
+                    FalseAlarmEvent(
+                        wall_time(timelines, index, t),
+                        index,
+                        plan.position_at(t),
+                    )
+                )
+    if detecting_robot is not None:
+        events.append(DetectionEvent(detection_time, detecting_robot, target))
+    # Chronological, ties broken by robot index — except the final
+    # DetectionEvent, which closes the log even when another robot's
+    # visit ties the detection instant exactly.  The sort is stable, so
+    # same-robot same-instant events keep their turn → visit → crash →
+    # alarm emission order.
+    events.sort(
+        key=lambda e: (e.time, isinstance(e, DetectionEvent), e.robot_index)
+    )
+    return events
 
 
 class SearchSimulation:
@@ -116,38 +304,25 @@ class SearchSimulation:
             n=self.fleet.size,
             fault_model=type(self.fault_model).__name__,
         ):
-            # A stochastic model redraws per call, so ask for the behavior
-            # map exactly once and derive everything else from it.
             with obs.span("simulation.adversary"):
-                assignment = self.fault_model.behaviors(
-                    self.fleet, self.target
-                )
-                faulty = frozenset(assignment)
-            if len(faulty) > self.fault_model.fault_budget:
-                raise SimulationError(
-                    f"fault model assigned {len(faulty)} faults, more than "
-                    f"its budget {self.fault_model.fault_budget}"
+                assignment = draw_faults(
+                    self.fleet, self.target, self.fault_model
                 )
             with obs.span("simulation.trajectories"):
                 assigned = self.fleet.with_fault_behaviors(assignment)
             with obs.span("simulation.visits"):
-                detection_time = assigned.detection_time(self.target)
-                detecting_robot = self._detecting_robot(
-                    assigned, detection_time
-                )
+                detection = detect(assigned, self.target)
             events: List[Event] = []
             if (with_events or self.check_invariants) and math.isfinite(
-                detection_time
+                detection.time
             ):
                 with obs.span("simulation.events"):
-                    events = self._build_events(
-                        assigned, detection_time, detecting_robot
-                    )
+                    events = render_events(assigned, self.target, detection)
             outcome = SearchOutcome(
                 target=self.target,
-                detection_time=detection_time,
-                detecting_robot=detecting_robot,
-                faulty_robots=faulty,
+                detection_time=detection.time,
+                detecting_robot=detection.robot,
+                faulty_robots=frozenset(assignment),
                 events=tuple(events),
             )
             if self.check_invariants:
@@ -167,90 +342,12 @@ class SearchSimulation:
             obs.count(
                 "simulation_visits_computed_total",
                 sum(1 for e in events if isinstance(e, TargetVisitEvent))
-                + (1 if detecting_robot is not None and events else 0),
+                + (1 if detection.robot is not None and events else 0),
             )
             obs.observe(
                 "simulation_wall_seconds", time.perf_counter() - started
             )
         return outcome
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-
-    def _detecting_robot(
-        self, assigned: Fleet, detection_time: float
-    ) -> Optional[int]:
-        if not math.isfinite(detection_time):
-            return None
-        for robot in assigned:
-            t = robot.detection_time_for(self.target)
-            if t is not None and times_close(t, detection_time):
-                return robot.index
-        raise SimulationError(
-            "no robot found detecting at the computed detection time — "
-            "inconsistent trajectory state"
-        )
-
-    def _build_events(
-        self,
-        assigned: Fleet,
-        detection_time: float,
-        detecting_robot: Optional[int],
-    ) -> List[Event]:
-        events: List[Event] = []
-        for robot in assigned:
-            trajectory = robot.effective_trajectory
-            genuine = robot.detection_time_for(self.target)
-            for vertex in trajectory.turning_points_until(detection_time):
-                if vertex.time <= detection_time:
-                    events.append(
-                        TurnEvent(vertex.time, robot.index, vertex.position)
-                    )
-            for t in trajectory.visit_times(self.target, detection_time):
-                is_detection = (
-                    robot.index == detecting_robot
-                    and times_close(t, detection_time)
-                )
-                if is_detection:
-                    continue  # rendered as the final DetectionEvent below
-                # A visit detects exactly when the robot's behavior says
-                # this is its genuine detection instant; every other
-                # logged visit is a miss (faulty robot, failed
-                # probabilistic draw, or post-detection tie).
-                detected = genuine is not None and times_close(t, genuine)
-                events.append(
-                    TargetVisitEvent(
-                        t, robot.index, self.target, detected=detected
-                    )
-                )
-            if robot.behavior is not None:
-                halt = robot.behavior.halt_time
-                if halt is not None and halt <= detection_time:
-                    events.append(
-                        CrashEvent(halt, robot.index, trajectory.position_at(halt))
-                    )
-                for t in robot.behavior.false_alarm_times(
-                    trajectory, self.target, until=detection_time
-                ):
-                    events.append(
-                        FalseAlarmEvent(t, robot.index, trajectory.position_at(t))
-                    )
-        if detecting_robot is not None:
-            events.append(
-                DetectionEvent(detection_time, detecting_robot, self.target)
-            )
-        # Chronological, ties broken by robot index — except the final
-        # DetectionEvent, which closes the log even when another robot's
-        # visit ties the detection instant exactly.
-        events.sort(
-            key=lambda e: (
-                e.time,
-                isinstance(e, DetectionEvent),
-                e.robot_index,
-            )
-        )
-        return events
 
 
 def simulate_search(
