@@ -8,8 +8,8 @@ answers it for whole grids at once:
 * :mod:`repro.batch.compile` flattens lazy trajectories into plain
   segment arrays (:func:`compile_trajectory`, :func:`compile_fleet`);
 * :mod:`repro.batch.kernels` holds the dependency-free kernels
-  (envelope first-visit sweep, column order statistics) — the only
-  batch backend;
+  (envelope first-visit sweep, per-range rank, column order
+  statistics) — the only batch backend;
 * :mod:`repro.batch.cache` is the one fleet cache
   (:data:`~repro.batch.cache.FLEET_CACHE`): the shared trajectories
   every variant's ``realize`` reads, and the compiled fleets both

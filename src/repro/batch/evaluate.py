@@ -21,8 +21,8 @@ default batch method evaluates through
 :meth:`BatchEvaluator.search_times`.
 
 The event engine remains the semantic oracle — the parity harness
-(:func:`repro.parity.run_parity_harness`) and the property suite hold this module to
-engine agreement within :mod:`repro.core.tolerance` bounds.
+(:func:`repro.parity.run_parity_harness`) and the property suite hold
+this module to bit-exact (``==``) agreement with the engine.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.batch import cache
 from repro.batch.compile import compile_fleet  # noqa: F401
 from repro.batch.kernels import (
     first_visit_row,
-    kth_smallest_per_column,
+    kth_visit_times,
     min_excluding_rows,
 )
 from repro.errors import InvalidParameterError
@@ -110,8 +110,8 @@ class BatchEvaluator:
     # grid evaluation
     # ------------------------------------------------------------------
 
-    def _rows(self, targets: Sequence[float]):
-        """Per-robot first-visit rows over the sorted ``targets``, plus
+    def _compiled(self, targets: Sequence[float]):
+        """The fleet's compiled trajectories, the sorted ``targets`` and
         the sort permutation."""
         xs = [float(x) for x in targets]
         if not xs:
@@ -127,8 +127,7 @@ class BatchEvaluator:
         compiled = self._cache.compiled(
             self._key, self.fleet.trajectories, radius
         )
-        rows = [first_visit_row(c, xs_sorted) for c in compiled.trajectories]
-        return rows, order
+        return compiled.trajectories, xs_sorted, order
 
     @staticmethod
     def _unsorted(row: List[float], order: List[int]) -> List[float]:
@@ -165,8 +164,8 @@ class BatchEvaluator:
         with obs.span(
             "batch.evaluate", points=len(targets), kind="search_times"
         ):
-            rows, order = self._rows(targets)
-            row = kth_smallest_per_column(rows, budget + 1)
+            compiled, xs_sorted, order = self._compiled(targets)
+            row = kth_visit_times(compiled, xs_sorted, budget + 1)
         obs.count("batch_points_total", len(targets))
         return self._unsorted(row, order)
 
@@ -198,7 +197,8 @@ class BatchEvaluator:
         with obs.span(
             "batch.evaluate", points=len(targets), kind="detection_times"
         ):
-            rows, order = self._rows(targets)
+            compiled, xs_sorted, order = self._compiled(targets)
+            rows = [first_visit_row(c, xs_sorted) for c in compiled]
             row = min_excluding_rows(rows, excluded)
         obs.count("batch_points_total", len(targets))
         return self._unsorted(row, order)

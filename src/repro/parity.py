@@ -5,12 +5,13 @@ The continuous :class:`~repro.simulation.engine.SearchSimulation` — the
 this library.  Every other path to a detection time is a *candidate*
 that must reproduce it.  This module replays a seeded grid of
 (regime, target, fault) points through an oracle and a candidate
-(:func:`run_parity`) and reports agreement point by point.  Three
-comparisons ship:
+(:func:`run_parity`) and reports agreement point by point: ``==`` on
+detection times and the same detecting robot.  Three comparisons ship:
 
-* :func:`run_parity_harness` — the batch kernels of :mod:`repro.batch`,
-  within the :mod:`repro.core.tolerance` bound (``times_close``), over
-  adversarial (worst-case ``T_{f+1}``) and explicit crash-fault sets.
+* :func:`run_parity_harness` — the batch kernels of :mod:`repro.batch`
+  over adversarial (worst-case ``T_{f+1}``) and explicit crash-fault
+  sets; the kernels name no detecting robot, so neither side reports
+  one.
   The service runs a small grid at startup as the batch fast path's
   license to serve, and CI runs the default grid in a bare venv.
 * :func:`run_async_parity` — the FSYNC timeline of the one scenario
@@ -18,15 +19,12 @@ comparisons ship:
   assign → detect → render core as the synchronous engine, mapped
   through one FSYNC :class:`~repro.async_sched.timeline.Timeline` per
   robot at unit speeds.  Cumulative-offset timelines make
-  bit-exactness achievable, so the harness demands it: ``==`` on
-  detection times, not ``times_close``, and the same detecting robot.
-  It checks the timeline, not a second engine; the synchronous path's
-  independent oracles are the batch kernels
-  (:func:`run_parity_harness`), the closed forms, and the time-stepped
-  grid scanner of :mod:`repro.simulation.timestep`.
+  bit-exactness achievable.  It checks the timeline, not a second
+  engine; the synchronous path's independent oracles are the batch
+  kernels (:func:`run_parity_harness`), the closed forms, and the
+  time-stepped grid scanner of :mod:`repro.simulation.timestep`.
 * :func:`run_variant_parity` — ``variant="line"`` dispatch through
-  :class:`~repro.variants.line.LineVariant` and the plan table,
-  bit-exact like the FSYNC row.
+  :class:`~repro.variants.line.LineVariant` and the plan table.
 
 Fault-DSL specs are realized *fresh* for each run: stochastic models
 (``random``, ``probabilistic``) keep generator state across
@@ -55,7 +53,6 @@ from typing import (
 )
 
 from repro.batch.evaluate import BatchEvaluator
-from repro.core.tolerance import TIME_RTOL, times_close
 from repro.errors import InvalidParameterError
 from repro.robots.faults import AdversarialFaults, FixedFaults
 from repro.robots.fleet import Fleet
@@ -151,25 +148,16 @@ class ParityCase:
     candidate_time: float
     oracle_robot: Optional[int] = None
     candidate_robot: Optional[int] = None
-    exact: bool = True
     labels: Tuple[str, str] = ("oracle", "candidate")
 
     @property
     def agree(self) -> bool:
-        """Whether the two outcomes agree.
-
-        Non-finite times match only each other.  Finite times must be
-        ``==`` when ``exact`` (and the detecting robots equal), else
-        :func:`~repro.core.tolerance.times_close`.
-        """
-        a, b = self.oracle_time, self.candidate_time
-        if math.isfinite(a) and math.isfinite(b):
-            times_agree = a == b if self.exact else times_close(a, b)
-        else:
-            times_agree = not (math.isfinite(a) or math.isfinite(b))
-        if not self.exact:
-            return times_agree
-        return times_agree and self.oracle_robot == self.candidate_robot
+        """Whether the two outcomes agree: ``==`` detection times (an
+        infinite time matches only itself) and equal detecting robots."""
+        return (
+            self.oracle_time == self.candidate_time
+            and self.oracle_robot == self.candidate_robot
+        )
 
     def describe(self) -> str:
         """One-line summary."""
@@ -180,17 +168,11 @@ class ParityCase:
             fault = "adversarial"
         else:
             fault = f"faulty={list(self.fault)}"
-        if self.exact:
-            times = (
-                f"{oracle}={self.oracle_time!r} "
-                f"{candidate}={self.candidate_time!r} robots="
-                f"{self.oracle_robot}/{self.candidate_robot}"
-            )
-        else:
-            times = (
-                f"{oracle}={self.oracle_time:.9g} "
-                f"{candidate}={self.candidate_time:.9g}"
-            )
+        times = (
+            f"{oracle}={self.oracle_time!r} "
+            f"{candidate}={self.candidate_time!r} robots="
+            f"{self.oracle_robot}/{self.candidate_robot}"
+        )
         verdict = "ok " if self.agree else "MISMATCH"
         return (
             f"{verdict} A({self.n},{self.f}) x={self.target:.6g} "
@@ -198,8 +180,7 @@ class ParityCase:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready representation; robots are kept only when
-        ``exact`` compares them."""
+        """JSON-ready representation."""
         oracle, candidate = self.labels
         data: Dict[str, Any] = {"n": self.n, "f": self.f, "target": self.target}
         if isinstance(self.fault, str):
@@ -208,9 +189,8 @@ class ParityCase:
             data["fault_set"] = None if self.fault is None else list(self.fault)
         data[f"{oracle}_time"] = _encode(self.oracle_time)
         data[f"{candidate}_time"] = _encode(self.candidate_time)
-        if self.exact:
-            data[f"{oracle}_robot"] = self.oracle_robot
-            data[f"{candidate}_robot"] = self.candidate_robot
+        data[f"{oracle}_robot"] = self.oracle_robot
+        data[f"{candidate}_robot"] = self.candidate_robot
         data["agree"] = self.agree
         return data
 
@@ -227,7 +207,6 @@ class ParityReport:
     name: str
     tag: str
     seed: int
-    exact: bool
     params: Dict[str, Any] = field(default_factory=dict)
     cases: List[ParityCase] = field(default_factory=list)
 
@@ -253,12 +232,10 @@ class ParityReport:
     def describe(self, max_mismatches: int = 10) -> str:
         """Multi-line summary."""
         bad = self.mismatches()
-        verdict = "bit-exact" if self.exact else "agree"
-        tolerance = "" if self.exact else f"rtol={TIME_RTOL:g}, "
         lines = [
             f"{self.name}[{self.tag}]: {self.total - len(bad)}/{self.total} "
-            f"points {verdict} across {len(self.regimes)} regimes "
-            f"({tolerance}seed={self.seed})"
+            f"points bit-exact across {len(self.regimes)} regimes "
+            f"(seed={self.seed})"
         ]
         for case in bad[:max_mismatches]:
             lines.append("  " + case.describe())
@@ -290,7 +267,6 @@ def run_parity(
     grid: Iterable[Tuple[int, int, float, Fault]],
     oracle: Tuple[str, Runner],
     candidate: Tuple[str, Runner],
-    exact: bool,
     name: str,
     tag: str,
     seed: int,
@@ -299,9 +275,9 @@ def run_parity(
     """Run ``oracle`` and ``candidate`` on every grid point and compare.
 
     Each side is a ``(label, run)`` pair, where ``run(n, f, target,
-    fault)`` returns ``(detection_time, detecting_robot)``.  ``exact``
-    selects the agreement rule of :attr:`ParityCase.agree`; ``name``,
-    ``tag``, ``seed`` and ``params`` head the :class:`ParityReport`.
+    fault)`` returns ``(detection_time, detecting_robot)``, compared by
+    :attr:`ParityCase.agree`; ``name``, ``tag``, ``seed`` and ``params``
+    head the :class:`ParityReport`.
     """
     (oracle_label, run_oracle), (candidate_label, run_candidate) = (
         oracle,
@@ -321,7 +297,6 @@ def run_parity(
                 candidate_time=candidate_time,
                 oracle_robot=oracle_robot,
                 candidate_robot=candidate_robot,
-                exact=exact,
                 labels=(oracle_label, candidate_label),
             )
         )
@@ -329,7 +304,6 @@ def run_parity(
         name=name,
         tag=tag,
         seed=seed,
-        exact=exact,
         params=dict(params or {}),
         cases=cases,
     )
@@ -416,7 +390,7 @@ def run_parity_harness(
     seed: int = 2016,
     x_max: float = 32.0,
 ) -> ParityReport:
-    """The batch kernels against the engine, within ``times_close``.
+    """The batch kernels against the engine, bit-exact.
 
     Each target is compared under the adversarial worst case, no
     faults, and seeded random fault subsets of size at most ``f``.
@@ -465,7 +439,7 @@ def run_parity_harness(
             model = AdversarialFaults(f)
         else:
             model = FixedFaults(fault_set) if fault_set else None
-        return _engine(fleet(n, f), target, model)
+        return _engine(fleet(n, f), target, model)[0], None
 
     def batch(n: int, f: int, target: float, fault_set):
         if fault_set is None:
@@ -478,7 +452,6 @@ def run_parity_harness(
         _seeded_grid(pairs, targets_per_pair, fault_sets, seed, x_max),
         oracle=("engine", engine),
         candidate=("batch", batch),
-        exact=False,
         name="parity",
         tag="pure",
         seed=seed,
@@ -546,7 +519,6 @@ def run_async_parity(
         ),
         oracle=("continuous", _dsl_engine(fleet, seed)),
         candidate=("event", event),
-        exact=True,
         name="async parity",
         tag=f"fsync, quantum={quantum:g}",
         seed=seed,
@@ -597,7 +569,6 @@ def run_variant_parity(
         ),
         oracle=("engine", _dsl_engine(_fleets(), seed)),
         candidate=("variant", variant),
-        exact=True,
         name="variant parity",
         tag="line",
         seed=seed,

@@ -8,6 +8,7 @@ from repro.batch.compile import compile_fleet, compile_trajectory
 from repro.batch.kernels import (
     first_visit_row,
     kth_smallest_per_column,
+    kth_visit_times,
     min_excluding_rows,
 )
 from repro.errors import InvalidParameterError
@@ -131,6 +132,9 @@ class TestSnapshots:
                 for column in columns
             ]
             assert kth_smallest_per_column(rows, k) == expected
+            assert kth_visit_times(fleet.trajectories, xs_sorted, k) == (
+                expected
+            )
         for excluded in (set(), {0}, {1, 2}, {0, 1, 2}):
             expected = [
                 min(
@@ -160,6 +164,11 @@ class TestEdges:
         rows = [first_visit_row(c, [0.5]) for c in fleet.trajectories]
         with pytest.raises(InvalidParameterError, match="k"):
             kth_smallest_per_column(rows, 0)
+        with pytest.raises(InvalidParameterError, match="k"):
+            kth_visit_times(fleet.trajectories, [0.5], 0)
+        with pytest.raises(InvalidParameterError, match="row"):
+            kth_visit_times([], [0.5], 1)
         with pytest.raises(InvalidParameterError, match="out of range"):
             min_excluding_rows(rows, {5})
         assert kth_smallest_per_column(rows, 2) == [math.inf]
+        assert kth_visit_times(fleet.trajectories, [0.5], 2) == [math.inf]

@@ -62,6 +62,9 @@ class TestReport:
         for case in payload["cases"]:
             for key in ("engine_time", "batch_time"):
                 assert isinstance(case[key], (float, str))
+            # the kernels name no detecting robot, so neither side does
+            assert case["engine_robot"] is None
+            assert case["batch_robot"] is None
 
     def test_case_describe(self, report):
         line = report.cases[0].describe()
