@@ -47,7 +47,7 @@ def test_bench_estimator_end_to_end(benchmark):
         return CompetitiveRatioEstimator(fleet, 3, x_max=100.0).estimate()
 
     result = benchmark(estimate)
-    assert result.matches(alg.theoretical_competitive_ratio(), tol=1e-6)
+    assert result.matches(alg.theoretical_competitive_ratio(), tol=1e-12)
 
 
 def test_bench_estimator_scaling(benchmark):
@@ -58,15 +58,13 @@ def test_bench_estimator_scaling(benchmark):
         for n, f in ((11, 5), (51, 25), (201, 100)):
             alg = ProportionalAlgorithm(n, f)
             fleet = Fleet.from_algorithm(alg)
-            est = CompetitiveRatioEstimator(
-                fleet, f, x_max=20.0, grid_points=8
-            ).estimate()
+            est = CompetitiveRatioEstimator(fleet, f, x_max=20.0).estimate()
             values[(n, f)] = (est.value, alg.theoretical_competitive_ratio())
         return values
 
     values = benchmark(sweep)
     for (n, f), (measured, theory) in values.items():
-        assert measured == pytest.approx(theory, rel=1e-6), (n, f)
+        assert measured == pytest.approx(theory, rel=1e-12), (n, f)
 
 
 def test_bench_simulation_with_events(benchmark):

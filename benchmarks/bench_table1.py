@@ -25,7 +25,7 @@ def test_bench_table1_full_regeneration(benchmark):
             )
         # the simulation reproduces the closed form to float precision
         assert row.measurement_gap is not None
-        assert row.measurement_gap < 1e-6, (row.n, row.f)
+        assert row.measurement_gap < 1e-12, (row.n, row.f)
 
 
 def test_bench_table1_shape_who_wins(table1_rows, benchmark):
@@ -55,4 +55,4 @@ def test_bench_table1_single_row_measurement(benchmark):
     alg = ProportionalAlgorithm(5, 2)
 
     estimate = benchmark(measure_competitive_ratio, alg, x_max=100.0)
-    assert estimate.matches(alg.theoretical_competitive_ratio(), tol=1e-6)
+    assert estimate.matches(alg.theoretical_competitive_ratio(), tol=1e-12)

@@ -41,7 +41,12 @@ from repro.errors import InvalidParameterError
 from repro.observability import instrument as obs
 from repro.robots.faults import AdversarialFaults, FaultModel
 from repro.robots.fleet import Fleet
-from repro.simulation.engine import detect, draw_faults, render_events
+from repro.simulation.engine import (
+    check_scenario,
+    detect,
+    draw_faults,
+    render_events,
+)
 from repro.simulation.events import Event
 from repro.simulation.metrics import SearchOutcome
 from repro.trajectory.base import Trajectory
@@ -141,12 +146,7 @@ class EventEngine:
         seed: int = 0,
         check_invariants: bool = False,
     ) -> None:
-        if not isinstance(fleet, Fleet):
-            raise InvalidParameterError(f"fleet must be a Fleet, got {fleet!r}")
-        if target == 0.0 or not math.isfinite(target):
-            raise InvalidParameterError(
-                f"target must be a nonzero finite real, got {target!r}"
-            )
+        target = check_scenario(fleet, target)
         if scheduler is not None and not isinstance(
             scheduler, ActivationScheduler
         ):
@@ -154,7 +154,7 @@ class EventEngine:
                 f"scheduler must be an ActivationScheduler, got {scheduler!r}"
             )
         self.fleet = fleet
-        self.target = float(target)
+        self.target = target
         self.scheduler = scheduler or FsyncScheduler()
         self.fault_model = fault_model or AdversarialFaults(0)
         self.seed = int(seed)

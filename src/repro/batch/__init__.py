@@ -9,7 +9,7 @@ answers it for whole grids at once:
   segment arrays (:func:`compile_trajectory`, :func:`compile_fleet`);
 * :mod:`repro.batch.kernels` holds the dependency-free kernels
   (envelope first-visit sweep, per-range rank, column order
-  statistics) — the only batch backend;
+  statistics, the exact ratio supremum) — the only batch backend;
 * :mod:`repro.batch.cache` is the one fleet cache
   (:data:`~repro.batch.cache.FLEET_CACHE`): the shared trajectories
   every variant's ``realize`` reads, and the compiled fleets both
@@ -34,9 +34,10 @@ Quickstart::
     faulty = evaluator.detection_times([1.0, -2.5, 4.0], faulty={0})
 
 Ratio profiles ``K(x)`` come from
-:func:`~repro.simulation.sweep.target_sweep`, competitive ratios from
-:func:`~repro.simulation.adversary.measure_competitive_ratio`; both
-evaluate through :meth:`BatchEvaluator.search_times` by default.
+:func:`~repro.simulation.sweep.target_sweep`, which evaluates through
+:meth:`BatchEvaluator.search_times` by default; competitive ratios
+from :func:`~repro.simulation.adversary.measure_competitive_ratio`,
+which reads :meth:`BatchEvaluator.ratio_supremum`.
 """
 
 from repro.batch.compile import (

@@ -73,7 +73,12 @@ from repro.robots.behaviors import (
 )
 from repro.robots.faults import FaultModel
 from repro.robots.fleet import Fleet
-from repro.simulation.engine import draw_faults, plan_time, wall_time
+from repro.simulation.engine import (
+    check_scenario,
+    draw_faults,
+    plan_time,
+    wall_time,
+)
 from repro.simulation.events import (
     ClaimEvent,
     CommitEvent,
@@ -142,19 +147,14 @@ class ByzantineSearchSimulation:
         check_invariants: bool = False,
         timelines: Optional[list] = None,
     ) -> None:
-        if not isinstance(fleet, Fleet):
-            raise InvalidParameterError(f"fleet must be a Fleet, got {fleet!r}")
-        if target == 0.0 or not math.isfinite(target):
-            raise InvalidParameterError(
-                f"target must be a nonzero finite real, got {target!r}"
-            )
+        target = check_scenario(fleet, target)
         if timelines is not None and len(timelines) != fleet.size:
             raise InvalidParameterError(
                 f"need one timeline per robot ({fleet.size}), got "
                 f"{len(timelines)}"
             )
         self.fleet = fleet
-        self.target = float(target)
+        self.target = target
         if fault_model is None:
             from repro.robots.faults import BehavioralFaults
 

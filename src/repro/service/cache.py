@@ -1,4 +1,5 @@
-"""Scenario-fingerprint result cache: bounded LRU with hit/miss counters.
+"""Scenario-fingerprint result cache: bounded segmented LRU with
+hit/miss counters.
 
 The cache key is :func:`~repro.robustness.campaign.scenario_key` — the
 same deterministic digest the campaign journal uses — so anything ever
@@ -8,8 +9,13 @@ outcome (seeds included), so equal keys imply equal results.  The
 property tests in ``tests/robustness/test_scenario_key_property.py``
 pin that contract; drift there would mean wrong answers served.
 
-The cache is strictly bounded (LRU eviction at ``max_entries``) and
-thread-safe; it never grows with traffic.  On server restart it is
+The cache is strictly bounded (``max_entries``) and thread-safe; it
+never grows with traffic.  It is a *segmented* LRU, so a scan of
+one-off results cannot flush the results that are read again: a new
+result enters a probation segment, a hit moves it to a protected
+segment of at most :data:`PROTECTED_SHARE` of the capacity (pushing
+that segment's least recent entry back to probation), and eviction
+takes probation's least recent entry first.  On server restart it is
 *warmed* from the campaign journals in the state directory, which is
 how a resumed campaign's already-computed scenarios are served as
 cache hits rather than recomputed.
@@ -28,9 +34,12 @@ from repro.robustness.campaign import ScenarioResult
 
 __all__ = ["ResultCache"]
 
+#: Share of ``max_entries`` that results hit at least once may hold.
+PROTECTED_SHARE = 0.8
+
 
 class ResultCache:
-    """Bounded, thread-safe LRU of ``scenario_key`` → result.
+    """Bounded, thread-safe segmented LRU of ``scenario_key`` → result.
 
     Only successful results are cached — a failure may be transient
     (a flaky stochastic draw, a watchdog kill under load) and must not
@@ -56,7 +65,10 @@ class ResultCache:
                 "(disable the cache at the service layer instead)"
             )
         self.max_entries = max_entries
-        self._entries: "OrderedDict[str, ScenarioResult]" = OrderedDict()
+        self._protected_cap = int(PROTECTED_SHARE * max_entries)
+        # least recent first in each segment
+        self._probation: "OrderedDict[str, ScenarioResult]" = OrderedDict()
+        self._protected: "OrderedDict[str, ScenarioResult]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -65,38 +77,63 @@ class ResultCache:
     def get(self, key: str) -> Optional[ScenarioResult]:
         """The cached result for ``key``, or ``None`` (counted as a miss)."""
         with self._lock:
-            result = self._entries.get(key)
-            if result is None:
-                self._misses += 1
-                obs.count("service_cache_misses_total")
-                return None
-            self._entries.move_to_end(key)
+            result = self._protected.get(key)
+            if result is not None:
+                self._protected.move_to_end(key)
+            else:
+                result = self._probation.get(key)
+                if result is None:
+                    self._misses += 1
+                    obs.count("service_cache_misses_total")
+                    return None
+                self._promote(key)
             self._hits += 1
             obs.count("service_cache_hits_total")
             return result
 
+    def _promote(self, key: str) -> None:
+        """Move a probation entry that was just hit to the protected
+        segment, demoting its least recent entry when it is full; with
+        no protected room it is just made most recent; the caller holds
+        the lock."""
+        if not self._protected_cap:
+            self._probation.move_to_end(key)
+            return
+        self._protected[key] = self._probation.pop(key)
+        if len(self._protected) > self._protected_cap:
+            demoted, result = self._protected.popitem(last=False)
+            self._probation[demoted] = result
+
     def put(self, key: str, result: ScenarioResult) -> None:
-        """Insert ``key`` → ``result``, evicting the LRU entry at capacity.
+        """Insert ``key`` → ``result``, evicting at capacity: the least
+        recent probation entry first, a protected one only when
+        probation is empty.  A key already cached keeps its segment.
 
         Failed results are ignored (see class docstring).
         """
         if not result.ok:
             return
         with self._lock:
-            self._entries[key] = result
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            segment = (
+                self._protected if key in self._protected else self._probation
+            )
+            segment[key] = result
+            segment.move_to_end(key)
+            while self._size() > self.max_entries:
+                (self._probation or self._protected).popitem(last=False)
                 self._evictions += 1
-            obs.gauge_set("service_cache_size", len(self._entries))
+            obs.gauge_set("service_cache_size", self._size())
+
+    def _size(self) -> int:
+        return len(self._probation) + len(self._protected)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return self._size()
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
-            return key in self._entries
+            return key in self._protected or key in self._probation
 
     def stats(self) -> Dict[str, Any]:
         """Hit/miss/eviction counters and occupancy, for readiness output."""
@@ -105,7 +142,7 @@ class ResultCache:
                 "hits": self._hits,
                 "misses": self._misses,
                 "evictions": self._evictions,
-                "entries": len(self._entries),
+                "entries": self._size(),
                 "capacity": self.max_entries,
             }
 

@@ -78,6 +78,19 @@ __all__ = ["SearchSimulation", "simulate_search"]
 # the core: assign → detect → render
 # ----------------------------------------------------------------------
 
+def check_scenario(fleet: Fleet, target: float) -> float:
+    """The guard of every engine constructor: ``fleet`` must be a
+    :class:`~repro.robots.fleet.Fleet` and ``target`` a nonzero finite
+    real, returned as a float."""
+    if not isinstance(fleet, Fleet):
+        raise InvalidParameterError(f"fleet must be a Fleet, got {fleet!r}")
+    if target == 0.0 or not math.isfinite(target):
+        raise InvalidParameterError(
+            f"target must be a nonzero finite real, got {target!r}"
+        )
+    return float(target)
+
+
 def wall_time(
     timelines: Optional[Sequence["Timeline"]], index: int, plan_t: float
 ) -> float:
@@ -268,14 +281,9 @@ class SearchSimulation:
         fault_model: Optional[FaultModel] = None,
         check_invariants: bool = False,
     ) -> None:
-        if not isinstance(fleet, Fleet):
-            raise InvalidParameterError(f"fleet must be a Fleet, got {fleet!r}")
-        if target == 0.0 or not math.isfinite(target):
-            raise InvalidParameterError(
-                f"target must be a nonzero finite real, got {target!r}"
-            )
+        target = check_scenario(fleet, target)
         self.fleet = fleet
-        self.target = float(target)
+        self.target = target
         self.fault_model = fault_model or AdversarialFaults(0)
         self.check_invariants = bool(check_invariants)
 

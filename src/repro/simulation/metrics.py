@@ -94,22 +94,29 @@ class RatioSample:
 
 @dataclass(frozen=True)
 class CompetitiveRatioEstimate:
-    """An empirical competitive-ratio measurement.
+    """A competitive-ratio measurement: the exact supremum of ``K``.
 
     Attributes:
-        value: The measured supremum of ``K(x)`` over the probed set.
-        witness: The sample achieving the supremum.
-        samples_evaluated: Number of points probed.
-        x_max: Largest ``|x|`` probed; the measurement is a lower bound
-            on the true supremum, exact when the schedule's ratio profile
-            is periodic across turning points (Lemma 5) and ``x_max``
-            spans at least one full period.
+        value: ``sup K(x)`` over ``min_distance <= |x| <= x_max``, equal
+            to ``witness.ratio``.
+        witness: Where the supremum sits: ``x`` and the ``T_{f+1}``
+            that ``K`` reaches there, read on ``side``.
+        samples_evaluated: Number of candidate points compared.
+        x_max: Largest ``|x|`` considered.  The value is the supremum of
+            the whole profile when it is periodic across turning points
+            (Lemma 5) and ``x_max`` spans at least one full period.
+        side: ``"right"`` when the value is the limit of ``K`` as
+            ``|x|`` falls to ``|witness.x|``, just past a turning point
+            (Lemma 3: ``K`` itself stays below it); ``"left"`` for the
+            limit as ``|x|`` rises to it; ``"at"`` when ``K`` takes the
+            value at ``witness.x``.
     """
 
     value: float
     witness: RatioSample
     samples_evaluated: int
     x_max: float
+    side: str = "at"
 
     def matches(self, theoretical: float, tol: float = 1e-6) -> bool:
         """Whether the estimate agrees with a closed form within ``tol``
@@ -120,7 +127,8 @@ class CompetitiveRatioEstimate:
         """One-line summary."""
         return (
             f"empirical CR = {self.value:.9g} at x = {self.witness.x:.9g} "
-            f"({self.samples_evaluated} samples, |x| <= {self.x_max:g})"
+            f"[{self.side}] ({self.samples_evaluated} samples, "
+            f"|x| <= {self.x_max:g})"
         )
 
 

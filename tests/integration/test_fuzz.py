@@ -98,25 +98,24 @@ class TestEstimatorInvariants:
     @settings(max_examples=15, deadline=None)
     def test_estimate_at_least_one(self, fleet):
         estimator = CompetitiveRatioEstimator(
-            fleet, fault_budget=0, x_max=20.0, grid_points=16
+            fleet, fault_budget=0, x_max=20.0
         )
         estimate = estimator.estimate()
         assert estimate.value >= 1.0
-        # the witness must reproduce its own ratio
-        recomputed = fleet.worst_case_detection_time(
-            estimate.witness.x, 0
-        ) / abs(estimate.witness.x)
+        # the witness must reproduce its own ratio, on its side: a
+        # right limit is reached just past the turn (beyond the
+        # engine's 1e-12 positional slack)
+        x = estimate.witness.x
+        if estimate.side == "right":
+            x += math.copysign(max(abs(x) * 1e-12, 4e-12), x)
+        recomputed = fleet.worst_case_detection_time(x, 0) / abs(x)
         assert recomputed == pytest.approx(estimate.value, rel=1e-9)
 
     @given(zigzag_fleets(min_size=3, max_size=3))
     @settings(max_examples=10, deadline=None)
     def test_more_faults_never_cheaper(self, fleet):
-        est0 = CompetitiveRatioEstimator(
-            fleet, 0, x_max=15.0, grid_points=8
-        ).estimate()
-        est1 = CompetitiveRatioEstimator(
-            fleet, 1, x_max=15.0, grid_points=8
-        ).estimate()
+        est0 = CompetitiveRatioEstimator(fleet, 0, x_max=15.0).estimate()
+        est1 = CompetitiveRatioEstimator(fleet, 1, x_max=15.0).estimate()
         assert est1.value >= est0.value - 1e-9
 
 

@@ -41,7 +41,7 @@ class TestTheorem1EndToEnd:
         x_max = 100.0 if n <= 11 else 40.0
         measured = measure_competitive_ratio(alg, x_max=x_max)
         assert measured.matches(
-            alg.theoretical_competitive_ratio(), tol=1e-6
+            alg.theoretical_competitive_ratio(), tol=1e-12
         ), (n, f)
 
     def test_41_20_coverage(self):

@@ -87,3 +87,28 @@ class TestJournalWarmup:
         garbage.write_text("not json\n")
         assert cache.warm_from_journal(str(garbage)) == 0
         assert len(cache) == 0
+
+
+class TestScanResistance:
+    def test_hit_entries_survive_a_scan_of_fresh_results(self):
+        cache = ResultCache(max_entries=256)
+        for seed in range(64):
+            cache.put(f"read{seed}", _result(seed))
+        for seed in range(64):
+            assert cache.get(f"read{seed}") is not None
+        for seed in range(2 * cache.max_entries):
+            cache.put(f"scan{seed}", _result(seed))
+            assert len(cache) <= cache.max_entries
+        for seed in range(64):
+            assert cache.get(f"read{seed}") is not None, seed
+        assert cache.stats()["entries"] == cache.max_entries
+
+    def test_protected_segment_is_capped(self):
+        cache = ResultCache(max_entries=10)
+        for seed in range(10):
+            cache.put(f"k{seed}", _result(seed))
+            cache.get(f"k{seed}")
+        # every entry was hit, but only 8 fit the protected segment:
+        # the two least recent went back to probation and go first
+        cache.put("new", _result(99))
+        assert "k0" not in cache and "k1" in cache and "new" in cache

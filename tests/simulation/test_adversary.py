@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.baselines.two_group import TwoGroupAlgorithm
+from repro.batch.compile import compile_fleet
+from repro.batch.kernels import ratio_candidates
 from repro.errors import InvalidParameterError
 from repro.robots.fleet import Fleet
 from repro.simulation.adversary import (
@@ -21,21 +23,15 @@ class TestEstimatorValidation:
             CompetitiveRatioEstimator(fleet_3_1, 1, min_distance=0.0)
         with pytest.raises(InvalidParameterError):
             CompetitiveRatioEstimator(fleet_3_1, 1, x_max=0.5)
-        with pytest.raises(InvalidParameterError):
-            CompetitiveRatioEstimator(fleet_3_1, 1, grid_points=-1)
-        with pytest.raises(InvalidParameterError):
-            CompetitiveRatioEstimator(fleet_3_1, 1, turn_horizon_factor=1.0)
 
     @pytest.mark.parametrize(
         "window",
         [
             {"x_max": math.nan},
             {"x_max": math.inf},
-            # finite, but 8 * 1e308 overflows the turn horizon
+            # finite, but the turns that cover it overflow
             {"x_max": 1e308},
             {"min_distance": math.nan},
-            {"turn_horizon_factor": math.nan},
-            {"turn_horizon_factor": math.inf},
         ],
         ids=lambda window: "-".join(f"{k}={v}" for k, v in window.items()),
     )
@@ -44,24 +40,30 @@ class TestEstimatorValidation:
             CompetitiveRatioEstimator(fleet_3_1, 1, **window)
 
 
+def _candidates(fleet, f, x_max):
+    """The exact estimator's candidate points, read from the kernel."""
+    compiled = compile_fleet(fleet.trajectories, -x_max, x_max)
+    return ratio_candidates(compiled.trajectories, f + 1, 1.0, x_max)
+
+
 class TestCandidates:
     def test_candidates_within_window(self, fleet_3_1):
-        est = CompetitiveRatioEstimator(fleet_3_1, 1, x_max=50.0)
-        for x in est.candidate_targets():
-            assert 1.0 <= abs(x) <= 50.0 * 1.001
+        for x, _, _ in _candidates(fleet_3_1, 1, 50.0):
+            assert 1.0 <= abs(x) <= 50.0
 
     def test_candidates_include_both_signs(self, fleet_3_1):
-        est = CompetitiveRatioEstimator(fleet_3_1, 1, x_max=50.0)
-        xs = est.candidate_targets()
+        xs = [x for x, _, _ in _candidates(fleet_3_1, 1, 50.0)]
         assert any(x > 0 for x in xs)
         assert any(x < 0 for x in xs)
 
     def test_candidates_include_turning_points(self, algorithm_3_1):
         fleet = Fleet.from_algorithm(algorithm_3_1)
-        est = CompetitiveRatioEstimator(fleet, 1, x_max=50.0)
-        xs = est.candidate_targets()
-        # robot a_0 turns at 1 and at kappa^2 = 16
-        assert any(abs(x - 16.0) < 1e-6 for x in xs)
+        candidates = _candidates(fleet, 1, 50.0)
+        # robot a_0 turns at 1 and at kappa^2 = 16; K is read just past
+        assert any(
+            abs(x - 16.0) < 1e-6 and side == "right"
+            for x, _, side in candidates
+        )
 
 
 class TestEstimates:
@@ -73,7 +75,9 @@ class TestEstimates:
             pytest.skip("the (41,20) case runs in integration tests")
         alg = ProportionalAlgorithm(n, f)
         est = measure_competitive_ratio(alg, x_max=100.0)
-        assert est.matches(alg.theoretical_competitive_ratio(), tol=1e-6)
+        assert est.matches(alg.theoretical_competitive_ratio(), tol=1e-12)
+        # the supremum is the right limit just past a turning point
+        assert est.side == "right"
 
     def test_two_group_is_one(self):
         alg = TwoGroupAlgorithm(4, 1)
@@ -99,6 +103,13 @@ class TestEstimates:
         result = est.estimate()
         assert result.witness.ratio == result.value
         assert result.samples_evaluated > 10
+        # K itself stays below its right limit at the witness, and
+        # reaches it just past the turn
+        x = result.witness.x
+        assert est.ratio_at(x).ratio < result.value
+        past = est.ratio_at(x * (1 + 1e-12)).ratio
+        assert past <= result.value * (1 + 1e-12)
+        assert past == pytest.approx(result.value, rel=1e-9)
         assert "empirical CR" in result.describe()
 
 
