@@ -29,23 +29,21 @@ turns straight back, delayed by ``2 (t_r - t_c)``.  Each robot ``i``
 therefore carries an accumulated delay ``D_i`` and its searching
 position at absolute time ``t`` is ``plan_i(t - D_i)``.
 
-Fault semantics during verification:
-
-* reliable robots vote what they sense at the claimed point;
-* Byzantine robots vote adversarially (present on lies, absent on the
-  truth) — and their alarms come from their
-  :class:`~repro.robots.behaviors.ByzantineFalseAlarmFault` schedule;
-* crash-stop robots vote truthfully while alive and never arrive after
-  their halt time;
-* probabilistic robots vote truthfully about false points and sense
-  the true target with their seeded per-visit probability.
+Fault semantics during verification live on the behaviors: a verifier
+votes through :meth:`~repro.robots.behaviors.FaultBehavior.vote`, drawing
+from its :meth:`~repro.robots.behaviors.FaultBehavior.vote_stream` (a
+robot with no behavior votes the truth), and one whose
+:attr:`~repro.robots.behaviors.FaultBehavior.halt_time` passes before it
+reaches the claimed point never votes.  Byzantine alarms come from
+:meth:`~repro.robots.behaviors.FaultBehavior.false_alarm_times`.
 
 Scheduled-time composition: pass ``timelines`` (one
 :class:`~repro.async_sched.timeline.Timeline` per robot, e.g. from
 :func:`repro.async_sched.engine.timelines_for`) and every *plan-derived*
 instant — genuine detections, Byzantine alarm times, crash-stop halt
 checks — is mapped through the robot's wall↔plan map before entering
-the protocol, by the scenario core's
+the protocol: genuine detections by the scenario core's
+:func:`~repro.simulation.engine.detect`, the rest by its
 :func:`~repro.simulation.engine.wall_time` and
 :func:`~repro.simulation.engine.plan_time` (the identity without
 timelines).  Claim verification itself stays in wall time: a claim is
@@ -64,17 +62,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.tolerance import times_close
 from repro.errors import InvalidParameterError, SimulationError
 from repro.observability import instrument as obs
-from repro.robots.behaviors import (
-    ByzantineFalseAlarmFault,
-    CrashDetectionFault,
-    CrashStopFault,
-    FaultBehavior,
-    ProbabilisticDetectionFault,
-)
+from repro.robots.behaviors import FaultBehavior
 from repro.robots.faults import FaultModel
 from repro.robots.fleet import Fleet
 from repro.simulation.engine import (
     check_scenario,
+    detect,
     draw_faults,
     plan_time,
     wall_time,
@@ -203,61 +196,37 @@ class ByzantineSearchSimulation:
     def _run_protocol(
         self, behaviors: Dict[int, FaultBehavior]
     ) -> ByzantineOutcome:
-        n = self.fleet.size
-        plans = [
-            behaviors[i].apply_trajectory(t) if i in behaviors else t
-            for i, t in enumerate(self.fleet.trajectories)
-        ]
-        delays = [0.0] * n
-        events: List[Event] = []
-        # Expose the protocol's live motion state (mutated in place as
-        # claims resolve) for subclasses that extend the run past the
-        # commit — the evacuation gather phase needs every robot's
-        # position at commit time.
-        self._plans = plans
-        self._delays = delays
+        assigned = self.fleet.with_fault_behaviors(behaviors)
+        # The protocol's live motion state, mutated in place as claims
+        # resolve; kept on the instance for subclasses that extend the
+        # run past the commit — the evacuation gather phase needs every
+        # robot's position at commit time.
+        self._plans = [robot.effective_trajectory for robot in assigned]
+        self._delays = [0.0] * self.fleet.size
         self._final_claim = None
-
-        # Genuine detection instants in each robot's own schedule time.
-        genuine_base: List[Optional[float]] = []
-        for i in range(n):
-            if i in behaviors:
-                genuine_base.append(
-                    behaviors[i].detection_time(
-                        self.fleet.trajectories[i], self.target
-                    )
-                )
-            else:
-                genuine_base.append(plans[i].first_visit_time(self.target))
+        detection = detect(assigned, self.target, self._timelines)
+        events: List[Event] = []
 
         # Lie schedule: every alarm of every Byzantine robot, absolute
         # in the liar's own schedule time (shifted by its delay when
         # the claim is actually raised).
-        pending_alarms: List[Tuple[int, int, float]] = []  # (robot, ordinal, t)
-        for i, behavior in behaviors.items():
-            for ordinal, t in enumerate(
-                behavior.false_alarm_times(plans[i], self.target, math.inf)
-            ):
-                pending_alarms.append((i, ordinal, t))
-        consumed: set = set()
-
-        # Seeded vote draws for probabilistic sensors, one stream per
-        # robot so replays are exact.
-        import random as _random
-
-        vote_rngs: Dict[int, _random.Random] = {
-            i: _random.Random((b.seed * 1_000_003) ^ 0x5F3759DF)
+        pending_alarms: List[Tuple[int, int, float]] = [  # (robot, ordinal, t)
+            (i, ordinal, t)
             for i, b in behaviors.items()
-            if isinstance(b, ProbabilisticDetectionFault)
-        }
+            for ordinal, t in enumerate(
+                b.false_alarm_times(self._plans[i], self.target, math.inf)
+            )
+        ]
+        consumed: set = set()
+        # One vote stream per faulty robot and run, so replays are exact.
+        streams = {i: b.vote_stream() for i, b in behaviors.items()}
 
         now = 0.0
         claims_raised = 0
         claims_refuted = 0
         for _ in range(_MAX_CLAIMS):
             candidate = self._next_candidate(
-                now, plans, delays, behaviors, genuine_base,
-                pending_alarms, consumed,
+                now, detection.wall_times, pending_alarms, consumed
             )
             if candidate is None:
                 # No robot will ever (truthfully or otherwise) claim
@@ -278,9 +247,7 @@ class ByzantineSearchSimulation:
             events.append(
                 ClaimEvent(candidate.time, candidate.claimant, candidate.position)
             )
-            record, votes = self._verify(
-                candidate, plans, delays, behaviors, vote_rngs
-            )
+            record, votes = self._verify(candidate, behaviors, streams)
             events.extend(votes)
             if record.state is ClaimState.COMMITTED:
                 self._final_claim = record
@@ -305,7 +272,7 @@ class ByzantineSearchSimulation:
                     votes=record.absent_votes,
                 )
             )
-            self._charge_diversions(record, delays)
+            self._charge_diversions(record)
             now = record.resolve_time
         raise SimulationError(
             f"confirmation protocol did not resolve within {_MAX_CLAIMS} "
@@ -316,22 +283,23 @@ class ByzantineSearchSimulation:
     # pieces
     # ------------------------------------------------------------------
 
-    def _position(self, plans, delays, i: int, t: float) -> float:
+    def _position(self, i: int, t: float) -> float:
         """Searching position of robot ``i`` at absolute time ``t``."""
-        return plans[i].position_at(
-            plan_time(self._timelines, i, max(0.0, t - delays[i]))
+        return self._plans[i].position_at(
+            plan_time(self._timelines, i, max(0.0, t - self._delays[i]))
         )
 
     def _next_candidate(
-        self, now, plans, delays, behaviors, genuine_base,
-        pending_alarms, consumed,
+        self, now, detections, pending_alarms, consumed
     ) -> Optional[_Candidate]:
-        """Earliest claim (genuine or lie) raised at or after ``now``."""
+        """Earliest claim (genuine or lie) raised at or after ``now``;
+        ``detections`` are the robots' genuine wall detection times."""
+        delays = self._delays
         best: Optional[_Candidate] = None
-        for i, base in enumerate(genuine_base):
+        for i, base in enumerate(detections):
             if base is None:
                 continue
-            t = max(wall_time(self._timelines, i, base) + delays[i], now)
+            t = max(base + delays[i], now)
             if best is None or (t, i) < (best.time, best.claimant):
                 best = _Candidate(t, i, self.target, True, None)
         for (i, ordinal, base) in pending_alarms:
@@ -340,13 +308,11 @@ class ByzantineSearchSimulation:
             t = max(wall_time(self._timelines, i, base) + delays[i], now)
             if best is None or (t, i) < (best.time, best.claimant):
                 # the lie: "the target is right here, where I stand"
-                position = self._position(plans, delays, i, t)
+                position = self._position(i, t)
                 best = _Candidate(t, i, position, False, (i, ordinal))
         return best
 
-    def _verify(
-        self, candidate, plans, delays, behaviors, vote_rngs
-    ):
+    def _verify(self, candidate, behaviors, streams):
         """Divert the nearest pool, collect votes, resolve the claim."""
         t_c, p = candidate.time, candidate.position
         n = self.fleet.size
@@ -358,7 +324,7 @@ class ByzantineSearchSimulation:
         # it stands at the claimed point); a verifier travels exactly
         # the distance it was ranked by.
         distance = [
-            abs(self._position(plans, delays, i, t_c) - p) for i in range(n)
+            abs(self._position(i, t_c) - p) for i in range(n)
         ]
         ranked = sorted(range(n), key=lambda i: (distance[i], i))
         pool = ranked[: self.protocol.pool_size]
@@ -369,21 +335,24 @@ class ByzantineSearchSimulation:
                 continue
             travel = distance[j]
             arrival = t_c + travel
-            behavior = behaviors.get(j)
-            if isinstance(behavior, CrashStopFault):
-                # a crashed robot neither travels nor votes; the halt is
-                # a plan instant, so compare in plan time
-                if (
-                    plan_time(self._timelines, j, arrival - delays[j])
-                    > behavior.halt_time
-                ):
-                    continue
+            halt = behaviors[j].halt_time if j in behaviors else None
+            # a crashed robot neither travels nor votes; the halt is a
+            # plan instant, so compare in plan time
+            if halt is not None and plan_time(
+                self._timelines, j, arrival - self._delays[j]
+            ) > halt:
+                continue
             arrivals.append((arrival, j, travel))
         arrivals.sort()
+        is_target = times_close(p, self.target)
         for arrival, j, _travel in arrivals:
             if record.state is not ClaimState.PENDING:
                 break
-            present = self._vote_of(j, p, behaviors, vote_rngs)
+            present = (
+                behaviors[j].vote(is_target, streams[j])
+                if j in behaviors
+                else is_target
+            )
             votes.append(VoteEvent(arrival, j, p, present=present))
             self.protocol.cast_vote(record, j, arrival, present)
         if record.state is ClaimState.PENDING:
@@ -394,24 +363,9 @@ class ByzantineSearchSimulation:
         record.arrivals = tuple(arrivals)  # for diversion accounting
         return record, votes
 
-    def _vote_of(self, j, p, behaviors, vote_rngs) -> bool:
-        """Robot ``j``'s verdict on "the target is at ``p``"."""
-        is_target = times_close(p, self.target)
-        behavior = behaviors.get(j)
-        if behavior is None or isinstance(behavior, CrashStopFault):
-            return is_target
-        if isinstance(behavior, ByzantineFalseAlarmFault):
-            return not is_target  # maximally adversarial
-        if isinstance(behavior, CrashDetectionFault):
-            return False  # its sensor never fires, truthfully reported
-        if isinstance(behavior, ProbabilisticDetectionFault):
-            if not is_target:
-                return False
-            return vote_rngs[j].random() < behavior.detection_probability
-        return is_target
-
-    def _charge_diversions(self, record, delays) -> None:
+    def _charge_diversions(self, record) -> None:
         """Delay every diverted robot by its wasted travel + wait."""
+        delays = self._delays
         t_c, t_r = record.claim_time, record.resolve_time
         # the claimant stood at the claimed point the whole time
         delays[record.claimant] += t_r - t_c

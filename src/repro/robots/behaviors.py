@@ -19,13 +19,18 @@ fault axis into a small taxonomy:
   target detects independently with probability ``p``, seeded so runs
   are reproducible.
 
-A behavior answers three questions about one robot: what trajectory does
-it actually follow (:meth:`FaultBehavior.apply_trajectory`), when does
-it *genuinely* detect a target (:meth:`FaultBehavior.detection_time` —
+A behavior answers every question an engine asks about one robot: what
+trajectory does it actually follow (:meth:`FaultBehavior.apply_trajectory`)
+and when does it stop (:attr:`FaultBehavior.halt_time`), when does it
+*genuinely* detect a target (:meth:`FaultBehavior.detection_time` —
 analytic where the model is deterministic, seeded-deterministic where it
-is stochastic), and what spurious claims does it broadcast
-(:meth:`FaultBehavior.false_alarm_times`).  Fault *models* in
-:mod:`repro.robots.faults` decide which robots receive which behavior.
+is stochastic), what spurious claims does it broadcast
+(:meth:`FaultBehavior.false_alarm_times`), and, as a verifier of the
+Byzantine confirmation protocol, how does it vote on a claim
+(:meth:`FaultBehavior.vote`, drawing from
+:meth:`FaultBehavior.vote_stream`).  Engines call these hooks and never
+test a behavior's class.  Fault *models* in :mod:`repro.robots.faults`
+decide which robots receive which behavior.
 """
 
 from __future__ import annotations
@@ -81,6 +86,22 @@ class FaultBehavior(ABC):
         """Times up to ``until`` at which the robot falsely claims detection."""
         return []
 
+    def vote(self, is_target: bool, stream: Optional[random.Random]) -> bool:
+        """Whether the robot, as a verifier, votes that a claimed point
+        holds the target; ``is_target`` says whether it truly does.
+
+        The default is the truth, as a reliable robot votes.  A
+        crash-stop robot keeps it: the protocol drops a verifier whose
+        :attr:`halt_time` passes before it arrives.  ``stream`` is this
+        robot's :meth:`vote_stream` for the run.
+        """
+        return is_target
+
+    def vote_stream(self) -> Optional[random.Random]:
+        """A fresh random stream for :meth:`vote`, made once per run;
+        ``None`` (the default) when the vote draws nothing."""
+        return None
+
     def describe(self) -> str:
         """One-line summary."""
         return f"{type(self).__name__}()"
@@ -100,6 +121,10 @@ class CrashDetectionFault(FaultBehavior):
         self, trajectory: Trajectory, target: float
     ) -> Optional[float]:
         return None
+
+    def vote(self, is_target: bool, stream: Optional[random.Random]) -> bool:
+        """Absent: the sensor never fires, and the robot reports that."""
+        return False
 
 
 class CrashStopFault(FaultBehavior):
@@ -182,6 +207,10 @@ class ByzantineFalseAlarmFault(FaultBehavior):
     ) -> List[float]:
         return [t for t in self.alarm_times if t <= until]
 
+    def vote(self, is_target: bool, stream: Optional[random.Random]) -> bool:
+        """Maximally adversarial: present on a lie, absent on the truth."""
+        return not is_target
+
     def describe(self) -> str:
         rendered = ", ".join(f"{t:.6g}" for t in self.alarm_times)
         return f"ByzantineFalseAlarmFault(alarm_times=[{rendered}])"
@@ -259,6 +288,15 @@ class ProbabilisticDetectionFault(FaultBehavior):
                 return None  # path ended; no further visits will appear
             horizon *= 2.0
         return None
+
+    def vote(self, is_target: bool, stream: Optional[random.Random]) -> bool:
+        """Absent on a false point; on the target, present with the
+        detection probability, drawn from ``stream``."""
+        return is_target and stream.random() < self.detection_probability
+
+    def vote_stream(self) -> random.Random:
+        """Seeded by :attr:`seed` alone, so a replay votes alike."""
+        return random.Random((self.seed * 1_000_003) ^ 0x5F3759DF)
 
     def describe(self) -> str:
         return (

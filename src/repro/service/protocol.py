@@ -37,6 +37,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.byzantine import min_byzantine_fleet
 from repro.errors import InvalidParameterError, LineSearchError
 # VARIANTS is re-exported: the wire vocabulary of a spec's ``variant``.
 from repro.robustness.campaign import FAULT_KINDS, VARIANTS, ScenarioSpec
@@ -209,10 +210,11 @@ def _parse_spec(entry: Any) -> ScenarioSpec:
         raise _bad(
             f"spec requires 1 <= f+1 <= n, got n={spec.n} f={spec.f}"
         )
-    if spec.protocol == "confirmation" and spec.n < 2 * spec.f + 1:
+    needed = min_byzantine_fleet(spec.f)
+    if spec.protocol == "confirmation" and spec.n < needed:
         raise _bad(
             f"the confirmation protocol needs n >= 2f + 1 = "
-            f"{2 * spec.f + 1} robots to tolerate {spec.f} liars, "
+            f"{needed} robots to tolerate {spec.f} liars, "
             f"got n = {spec.n}"
         )
     try:

@@ -24,8 +24,9 @@ Plan time is mapped to wall time by :func:`wall_time` (and back by
 — :class:`SearchSimulation`, the synchronous engine — plan time *is*
 wall time and no timeline is built; the scheduled-time
 :class:`~repro.async_sched.engine.EventEngine` passes one timeline per
-robot, and the Byzantine confirmation simulation maps its plan-derived
-instants through the same two functions.
+robot, and the Byzantine confirmation simulation takes its genuine
+detections from :func:`detect` and maps its other plan-derived instants
+through the same two functions.
 
 :class:`SearchSimulation` is the executable counterpart of Definition
 3: with the adversarial fault model, the detection time it reports

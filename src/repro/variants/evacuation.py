@@ -20,12 +20,12 @@ the variant's real objective without special cases.
 near-majority bound of :mod:`repro.core.evacuation`; infeasible specs
 are rejected eagerly at build time.
 
-Crash-stop robots never gather (their halt strands them), which is
-consistent with the predicate: they are faulty, and faulty robots are
-excluded from it.  Other faulty robots do walk to the point and their
-arrivals are logged with ``reliable=False`` — the invariant audits
-(:mod:`repro.variants.invariants`) verify they are never counted toward
-the evacuation time.
+Robots whose behavior halts (crash-stop robots) never gather: the halt
+strands them, which is consistent with the predicate: they are faulty,
+and faulty robots are excluded from it.  Other faulty robots do walk to
+the point and their arrivals are logged with ``reliable=False`` — the
+invariant audits (:mod:`repro.variants.invariants`) verify they are
+never counted toward the evacuation time.
 """
 
 from __future__ import annotations
@@ -38,11 +38,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.byzantine.outcome import ByzantineOutcome
 from repro.byzantine.simulate import ByzantineSearchSimulation
 from repro.core.evacuation import evacuation_feasible, min_evacuation_fleet
-from repro.errors import InvalidParameterError, SimulationError
+from repro.errors import InvalidParameterError
 from repro.observability import instrument as obs
-from repro.robots.behaviors import CrashStopFault, FaultBehavior
+from repro.robots.behaviors import FaultBehavior
 from repro.robots.fleet import Fleet
 from repro.robustness.plan import run_plan
+from repro.simulation.engine import draw_faults
 from repro.simulation.events import Event, GatherEvent
 from repro.variants.base import ProblemVariant
 
@@ -126,7 +127,7 @@ class EvacuationSearchSimulation(ByzantineSearchSimulation):
     * verifiers still mid-flight toward the final claim complete their
       diversion and arrive at their recorded arrival time;
     * every other robot departs its searching position at commit time;
-    * crash-stop robots never arrive.
+    * robots whose behavior halts (crash-stop robots) never arrive.
 
     Examples:
         >>> from repro.schedule.byzantine import ByzantineConfirmationAlgorithm
@@ -147,12 +148,7 @@ class EvacuationSearchSimulation(ByzantineSearchSimulation):
             n=self.fleet.size,
             f=self.fault_model.fault_budget,
         ):
-            behaviors = self.fault_model.behaviors(self.fleet, self.target)
-            if len(behaviors) > self.fault_model.fault_budget:
-                raise SimulationError(
-                    f"fault model assigned {len(behaviors)} faults, more "
-                    f"than its budget {self.fault_model.fault_budget}"
-                )
+            behaviors = draw_faults(self.fleet, self.target, self.fault_model)
             commit = self._run_protocol(behaviors)
             outcome = self._gather(commit, behaviors)
         if telemetry is not None:
@@ -254,16 +250,16 @@ class EvacuationSearchSimulation(ByzantineSearchSimulation):
             flight[record.claimant] = t_c
         arrivals: List[Tuple[int, float]] = []
         for i in range(self.fleet.size):
-            if isinstance(behaviors.get(i), CrashStopFault):
+            if i in behaviors and behaviors[i].halt_time is not None:
                 continue  # stranded: a halted robot cannot walk anywhere
             if i in flight:
                 arrivals.append((i, flight[i]))
             elif i in pool:
-                # In the pool but filtered from arrivals: only crash-stop
-                # robots are, and those were skipped above.
+                # In the pool but filtered from arrivals: only robots
+                # with a halt time are, and those were skipped above.
                 continue
             else:
-                position = self._position(self._plans, self._delays, i, t_c)
+                position = self._position(i, t_c)
                 arrivals.append((i, t_c + abs(position - point)))
         return arrivals
 

@@ -6,17 +6,21 @@ import pytest
 
 from repro.errors import InvalidParameterError
 from repro.robots import Fleet
+from repro.byzantine import ByzantineSearchSimulation
 from repro.robots.behaviors import (
     ByzantineFalseAlarmFault,
     CrashDetectionFault,
     CrashStopFault,
+    FaultBehavior,
     ProbabilisticDetectionFault,
 )
 from repro.robots.faults import AdversarialFaults, BehavioralFaults
+from repro.schedule import algorithm_for
 from repro.simulation import (
     CrashEvent,
     FalseAlarmEvent,
     SearchSimulation,
+    VoteEvent,
 )
 from repro.trajectory import DoublingTrajectory, LinearTrajectory
 from repro.trajectory.halted import HaltedTrajectory
@@ -181,3 +185,73 @@ class TestBehavioralFaults:
     def test_describe_lists_kinds(self):
         model = BehavioralFaults({1: CrashStopFault(2.0)})
         assert "crash_stop" in model.describe()
+
+
+class TestVotes:
+    """A verifier's vote on "the target is at the claimed point"."""
+
+    @pytest.mark.parametrize(
+        "behavior, on_target, off_target",
+        [
+            (CrashDetectionFault(), False, False),
+            (CrashStopFault(2.0), True, False),
+            (ByzantineFalseAlarmFault([1.0]), False, True),
+            (ProbabilisticDetectionFault(1.0, seed=3), True, False),
+            (ProbabilisticDetectionFault(0.0, seed=3), False, False),
+        ],
+    )
+    def test_vote_on_and_off_target(self, behavior, on_target, off_target):
+        assert behavior.vote(True, behavior.vote_stream()) is on_target
+        assert behavior.vote(False, behavior.vote_stream()) is off_target
+
+    @pytest.mark.parametrize(
+        "behavior",
+        [
+            CrashDetectionFault(),
+            CrashStopFault(2.0),
+            ByzantineFalseAlarmFault([1.0]),
+        ],
+    )
+    def test_deterministic_votes_draw_nothing(self, behavior):
+        assert behavior.vote_stream() is None
+
+    def test_probabilistic_draws_pinned(self):
+        fault = ProbabilisticDetectionFault(0.5, seed=7)
+        stream = fault.vote_stream()
+        assert [fault.vote(True, stream) for _ in range(8)] == [
+            True, False, True, False, False, False, True, False,
+        ]
+        # a fresh stream replays the same draws
+        assert fault.vote_stream().random() == 0.4624321047349508
+
+    def test_probabilistic_draws_only_on_target(self):
+        fault = ProbabilisticDetectionFault(0.5, seed=7)
+        stream = fault.vote_stream()
+        assert fault.vote(False, stream) is False
+        assert stream.random() == 0.4624321047349508
+
+    def test_user_behavior_votes_the_truth(self):
+        class Mute(FaultBehavior):
+            """Never detects; defines no vote of its own."""
+
+            def detection_time(self, trajectory, target):
+                return None
+
+        fleet = Fleet.from_algorithm(algorithm_for(3, 1))
+
+        def votes(behavior):
+            outcome = ByzantineSearchSimulation(
+                fleet, 1.0, BehavioralFaults({0: behavior})
+            ).run()
+            assert outcome.committed_truthfully
+            return [
+                (e.robot_index, e.present)
+                for e in outcome.events
+                if isinstance(e, VoteEvent)
+            ]
+
+        assert votes(Mute()) == [(1, True), (0, True)]
+        # the paper's fault at the same robot votes absent instead
+        assert votes(CrashDetectionFault()) == [
+            (1, True), (0, False), (2, True),
+        ]
